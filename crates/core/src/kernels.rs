@@ -28,7 +28,7 @@
 //! [`active_tier`]: runtime CPU-feature detection
 //! (`is_x86_feature_detected!`) cached in a `OnceLock`, overridable for
 //! testing and CI via the `BPVEC_KERNEL` environment variable
-//! (`scalar` | `avx2` | `avx512` | `auto`) or `BPVEC_FORCE_SCALAR=1`.
+//! (`scalar` | `avx2` | `avx512` | `auto`).
 //! Requesting a tier the host cannot run falls back to the best available
 //! one, so an override never produces wrong answers — only the scalar
 //! fallback guarantee, exercised end-to-end by the `BPVEC_KERNEL=scalar`
@@ -130,9 +130,9 @@ pub fn available_tiers() -> Vec<KernelTier> {
 
 /// The tier every dispatched kernel in this process uses, resolved once:
 /// the widest tier the CPU supports, clamped by the `BPVEC_KERNEL`
-/// (`scalar` | `avx2` | `avx512` | `auto`) or `BPVEC_FORCE_SCALAR=1`
-/// environment overrides. An override naming a tier the host lacks falls
-/// back to the best available tier at or below the request.
+/// (`scalar` | `avx2` | `avx512` | `auto`) environment override. An
+/// override naming a tier the host lacks falls back to the best available
+/// tier at or below the request.
 ///
 /// # Panics
 ///
@@ -143,11 +143,6 @@ pub fn active_tier() -> KernelTier {
     static ACTIVE: OnceLock<KernelTier> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
         let best = detected_tier();
-        if let Ok(v) = std::env::var("BPVEC_FORCE_SCALAR") {
-            if !v.is_empty() && v != "0" {
-                return KernelTier::Scalar;
-            }
-        }
         let requested = match std::env::var("BPVEC_KERNEL") {
             Ok(v) => match v.to_ascii_lowercase().as_str() {
                 "" | "auto" => best,

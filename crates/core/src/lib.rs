@@ -27,10 +27,9 @@
 //!   a `OnceLock`-cached dispatch table ([`kernels::active_tier`]) picks
 //!   AVX-512 `vpopcntq` or AVX2 vpshufb-popcount lanes when the CPU has
 //!   them, with the portable scalar popcount/SWAR kernel as the
-//!   always-correct fallback (`BPVEC_KERNEL=scalar` /
-//!   `BPVEC_FORCE_SCALAR=1` force it). Every tier is bit-identical —
-//!   property-pinned against `dot_exact` for all width × slicing ×
-//!   signedness combinations.
+//!   always-correct fallback (`BPVEC_KERNEL=scalar` forces it). Every
+//!   tier is bit-identical — property-pinned against `dot_exact` for all
+//!   width × slicing × signedness combinations.
 //!
 //! The model is *exact*: every CVU execution is checked (in tests) against a
 //! plain `i64` dot product, for signed and unsigned operands of any supported

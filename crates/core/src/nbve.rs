@@ -159,8 +159,8 @@ impl Nbve {
 /// This is a dispatched kernel: the realization is picked once per process
 /// by [`crate::kernels::active_tier`] — AVX-512 `vpopcntq` or AVX2
 /// vpshufb-popcount lanes where the CPU supports them, with the portable
-/// scalar kernel as the always-correct fallback (and `BPVEC_KERNEL=scalar` /
-/// `BPVEC_FORCE_SCALAR=1` forcing it). All tiers are bit-identical; see
+/// scalar kernel as the always-correct fallback (and `BPVEC_KERNEL=scalar`
+/// forcing it). All tiers are bit-identical; see
 /// [`crate::kernels`] for the dispatch and fallback contract. The scalar
 /// shapes (allocation-free, word-streaming):
 ///

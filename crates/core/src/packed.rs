@@ -86,9 +86,63 @@ impl PackedSliceMatrix {
             "packed data length {} does not match {num_vecs} vectors of {len}",
             data.len()
         );
-        Self::pack_from_fn(num_vecs, len, width, slice_width, signedness, |v, e| {
-            data[v * len + e]
-        })
+        let mut m = Self::zeroed(num_vecs, len, width, slice_width, signedness);
+        let mut bytes = m.row_scratch();
+        if len > 0 {
+            for (v, row) in data.chunks_exact(len).enumerate() {
+                m.pack_row(v, row, &mut bytes)?;
+            }
+        }
+        Ok(m)
+    }
+
+    /// Packs the `n` columns of a row-major `[k, n]` matrix as `n` vectors
+    /// of `k` elements — the activation side of a GEMM (im2col patch
+    /// matrices, attention `Kᵀ`/`V` operands) without materializing a
+    /// transpose. Columns are transposed a block at a time, reading the
+    /// source row by row, and each then packs like a row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ValueOutOfRange`] on the first element, in
+    /// column-major order, that does not fit the declared
+    /// `width`/`signedness`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != k * n`.
+    pub fn pack_cols(
+        data: &[i32],
+        k: usize,
+        n: usize,
+        width: BitWidth,
+        slice_width: SliceWidth,
+        signedness: Signedness,
+    ) -> Result<Self, CoreError> {
+        assert_eq!(
+            data.len(),
+            k * n,
+            "packed data length {} does not match a [{k}, {n}] matrix",
+            data.len()
+        );
+        let mut m = Self::zeroed(n, k, width, slice_width, signedness);
+        if k == 0 || n == 0 {
+            return Ok(m);
+        }
+        let mut bytes = m.row_scratch();
+        let mut block = vec![0i32; COL_BLOCK.min(n) * k];
+        for c0 in (0..n).step_by(COL_BLOCK) {
+            let cols = COL_BLOCK.min(n - c0);
+            for (e, row) in data.chunks_exact(n).enumerate() {
+                for (ci, &x) in row[c0..c0 + cols].iter().enumerate() {
+                    block[ci * k + e] = x;
+                }
+            }
+            for (ci, col) in block.chunks_exact(k).take(cols).enumerate() {
+                m.pack_row(c0 + ci, col, &mut bytes)?;
+            }
+        }
+        Ok(m)
     }
 
     /// Packs a single vector (a `1 × len` matrix).
@@ -105,58 +159,75 @@ impl PackedSliceMatrix {
         Self::pack_rows(values, 1, values.len(), width, slice_width, signedness)
     }
 
-    /// Packs `num_vecs` vectors of `len` elements, reading element `e` of
-    /// vector `v` from `f(v, e)` — the gather-free entry point for packing
-    /// matrix columns or im2col patches without materializing a transpose.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::ValueOutOfRange`] on the first element that does
-    /// not fit the declared `width`/`signedness`.
-    pub fn pack_from_fn(
+    /// An all-zero matrix of the given geometry, filled row by row by
+    /// [`Self::pack_row`].
+    fn zeroed(
         num_vecs: usize,
         len: usize,
         width: BitWidth,
         slice_width: SliceWidth,
         signedness: Signedness,
-        mut f: impl FnMut(usize, usize) -> i32,
-    ) -> Result<Self, CoreError> {
-        let s = slice_width.bits();
+    ) -> Self {
+        // Every plane field is a bit range of an element's low byte, which
+        // holds the whole two's-complement pattern only up to 8 bits.
+        assert!(
+            width.bits() <= 8,
+            "packed operands are at most 8 bits wide, got {width}"
+        );
         let n_slices = slice_width.slices_for(width) as usize;
-        let fields_per_word = (64 / s) as usize;
-        let words_per_vec = len.div_ceil(fields_per_word);
-        let total_bits = n_slices as u32 * s;
-        let pattern_mask = if total_bits >= 32 {
-            u32::MAX
-        } else {
-            (1u32 << total_bits) - 1
-        };
-        let field_mask = (1u32 << s) - 1;
-        let mut planes = vec![vec![0u64; num_vecs * words_per_vec]; n_slices];
-        for v in 0..num_vecs {
-            for e in 0..len {
-                let value = f(v, e);
-                width.check(value, signedness)?;
-                // The same padded two's-complement pattern SlicedValue
-                // decomposes: slice j is bits [j*s, (j+1)*s).
-                let pattern = (value as u32) & pattern_mask;
-                let word = v * words_per_vec + e / fields_per_word;
-                let offset = ((e % fields_per_word) as u32) * s;
-                for (j, plane) in planes.iter_mut().enumerate() {
-                    let field = (pattern >> (j as u32 * s)) & field_mask;
-                    plane[word] |= u64::from(field) << offset;
-                }
-            }
-        }
-        Ok(PackedSliceMatrix {
-            planes,
+        let words_per_vec = len.div_ceil(fields_per_word(slice_width));
+        PackedSliceMatrix {
+            planes: vec![vec![0u64; num_vecs * words_per_vec]; n_slices],
             num_vecs,
             len,
             words_per_vec,
             width,
             slice_width,
             signedness,
-        })
+        }
+    }
+
+    /// Scratch for [`Self::pack_row`]: one byte per field of a vector's
+    /// word run. The bytes past `len` stay zero, so tail fields pack as
+    /// zero.
+    fn row_scratch(&self) -> Vec<u8> {
+        vec![0u8; self.words_per_vec * fields_per_word(self.slice_width)]
+    }
+
+    /// Packs `row` as vector `v`, a word at a time.
+    ///
+    /// Step 1 narrows the row to each element's two's-complement byte
+    /// under one branch-free range check; only a row that fails it is
+    /// scanned again, so the error names the first offending element.
+    /// Step 2 builds every word of every plane from 8-byte groups
+    /// ([`gather_fields`]).
+    fn pack_row(&mut self, v: usize, row: &[i32], bytes: &mut [u8]) -> Result<(), CoreError> {
+        debug_assert_eq!(row.len(), self.len);
+        let (lo, hi) = self.width.range(self.signedness);
+        let span = hi.wrapping_sub(lo) as u32;
+        let mut fits = true;
+        for (b, &x) in bytes.iter_mut().zip(row) {
+            *b = x as u8;
+            fits &= x.wrapping_sub(lo) as u32 <= span;
+        }
+        if !fits {
+            for &x in row {
+                self.width.check(x, self.signedness)?;
+            }
+        }
+        let wpv = self.words_per_vec;
+        let s = self.slice_width.bits();
+        for (j, plane) in self.planes.iter_mut().enumerate() {
+            let words = &mut plane[v * wpv..(v + 1) * wpv];
+            let shift = j as u32 * s;
+            match s {
+                1 => pack_plane::<1>(bytes, shift, words),
+                2 => pack_plane::<2>(bytes, shift, words),
+                4 => pack_plane::<4>(bytes, shift, words),
+                _ => pack_plane::<8>(bytes, shift, words),
+            }
+        }
+        Ok(())
     }
 
     /// Number of packed vectors.
@@ -496,6 +567,56 @@ impl PackedSliceMatrix {
             value += field << (j as u32 * s);
         }
         value as i32
+    }
+}
+
+/// Columns [`PackedSliceMatrix::pack_cols`] transposes at a time: one
+/// 64-byte cache line of each source row.
+const COL_BLOCK: usize = 16;
+
+/// `s`-bit fields per `u64` word.
+fn fields_per_word(slice_width: SliceWidth) -> usize {
+    (64 / slice_width.bits()) as usize
+}
+
+/// Writes one plane of one vector: word `w` gets the `S`-bit field at bit
+/// `shift` of bytes `[w·64/S, (w+1)·64/S)`, element `e` at bit `(e mod 64/S)·S`.
+#[inline]
+fn pack_plane<const S: u32>(bytes: &[u8], shift: u32, words: &mut [u64]) {
+    for (word, chunk) in words.iter_mut().zip(bytes.chunks_exact(64 / S as usize)) {
+        let mut w = 0u64;
+        for (g, group) in chunk.chunks_exact(8).enumerate() {
+            let x = u64::from_le_bytes(group.try_into().expect("8-byte group"));
+            w |= gather_fields::<S>(x, shift) << (g as u32 * 8 * S);
+        }
+        *word = w;
+    }
+}
+
+/// Gathers the `S`-bit field at bit `shift` of each byte of `x` into the
+/// low `8·S` bits, byte `i`'s field at bit `i·S`: one multiply for 1-bit
+/// fields, three shift-or-mask halvings for 2- and 4-bit fields, and the
+/// bytes themselves for 8-bit fields (whose `shift` is always 0).
+#[inline(always)]
+fn gather_fields<const S: u32>(x: u64, shift: u32) -> u64 {
+    let x = x >> shift;
+    match S {
+        // Bit 0 of byte i lands at bit 56 + i of the product, and no two
+        // partial products share a bit position, so nothing carries.
+        1 => ((x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080)) >> 56,
+        2 => {
+            let x = x & 0x0303_0303_0303_0303;
+            let x = (x | x >> 6) & 0x000F_000F_000F_000F;
+            let x = (x | x >> 12) & 0x0000_00FF_0000_00FF;
+            (x | x >> 24) & 0xFFFF
+        }
+        4 => {
+            let x = x & 0x0F0F_0F0F_0F0F_0F0F;
+            let x = (x | x >> 4) & 0x00FF_00FF_00FF_00FF;
+            let x = (x | x >> 8) & 0x0000_FFFF_0000_FFFF;
+            (x | x >> 16) & 0xFFFF_FFFF
+        }
+        _ => x,
     }
 }
 

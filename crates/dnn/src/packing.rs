@@ -177,7 +177,8 @@ pub fn pack_gemm_rows(
 }
 
 /// Packs a `[k, n]` matrix's *columns* into slice planes: one packed vector
-/// per column, gathered stride-`n` without materializing a transpose. This
+/// per column, via [`PackedSliceMatrix::pack_cols`] (a small block of
+/// columns transposed at a time, so the matrix is read row by row). This
 /// is the activation-side entry point — an im2col matrix `[ic·kh·kw, oh·ow]`
 /// packs as `oh·ow` patch vectors, a GEMV input `[k, 1]` as a single vector.
 ///
@@ -197,11 +198,14 @@ pub fn pack_gemm_cols(
 ) -> Result<PackedSliceMatrix, CoreError> {
     let shape = t.shape();
     assert_eq!(shape.len(), 2, "column packing needs a [k, n] matrix");
-    let (k, n) = (shape[0], shape[1]);
-    let data = t.as_slice();
-    PackedSliceMatrix::pack_from_fn(n, k, bits, slice_width, signedness, |col, e| {
-        data[e * n + col]
-    })
+    PackedSliceMatrix::pack_cols(
+        t.as_slice(),
+        shape[0],
+        shape[1],
+        bits,
+        slice_width,
+        signedness,
+    )
 }
 
 #[cfg(test)]

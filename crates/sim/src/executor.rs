@@ -441,12 +441,10 @@ impl NetworkExecutor {
                         let run = self.array.gemm_packed(&pa, &pb)?;
                         cycles += run.cycles;
                         macs += run.macs;
-                        for qi in 0..q_len {
-                            for kj in 0..kv_len {
-                                scores[&[h * q_len + qi, kj]] =
-                                    run.output.as_slice()[qi * kv_len + kj];
-                            }
-                        }
+                        // Head h's [q_len, kv_len] block of the score rows.
+                        let n = q_len * kv_len;
+                        scores.as_mut_slice()[h * n..(h + 1) * n]
+                            .copy_from_slice(run.output.as_slice());
                     }
                     let shift = requant_shift_for(&scores, out_bits);
                     let q = reference::requantize(&scores, shift, out_bits, Signedness::Signed);
@@ -500,10 +498,16 @@ impl NetworkExecutor {
                         let run = self.array.gemm_packed(&pa, &pb)?;
                         cycles += run.cycles;
                         macs += run.macs;
+                        // Head h's [q_len, head_dim] output, transposed into
+                        // its head_dim channel rows of ctx.
+                        let n = head_dim * q_len;
+                        let (out, rows) = (
+                            run.output.as_slice(),
+                            &mut ctx.as_mut_slice()[h * n..(h + 1) * n],
+                        );
                         for qi in 0..q_len {
                             for d in 0..head_dim {
-                                ctx[&[h * head_dim + d, qi, 0]] =
-                                    run.output.as_slice()[qi * head_dim + d];
+                                rows[d * q_len + qi] = out[qi * head_dim + d];
                             }
                         }
                     }
@@ -701,22 +705,36 @@ impl NetworkExecutor {
         let (h, wdt) = (ish[1], ish[2]);
         let oh = (h + 2 * padding.0 - kh) / stride.0 + 1;
         let ow = (wdt + 2 * padding.1 - kw) / stride.1 + 1;
-        // im2col with zero padding.
-        let cols = Tensor::from_fn(&[in_channels * kh * kw, oh * ow], |idx| {
-            let (row, col) = (idx[0], idx[1]);
-            let c = row / (kh * kw);
-            let ky = (row / kw) % kh;
-            let kx = row % kw;
-            let oy = col / ow;
-            let ox = col % ow;
-            let iy = (oy * stride.0 + ky) as isize - padding.0 as isize;
-            let ix = (ox * stride.1 + kx) as isize - padding.1 as isize;
-            if iy < 0 || ix < 0 || iy >= h as isize || ix >= wdt as isize {
-                0
-            } else {
-                act[&[c, iy as usize, ix as usize]]
+        // im2col with zero padding: row (c, ky, kx), column (oy, ox).
+        let mut cols = Tensor::zeros(&[in_channels * kh * kw, oh * ow]);
+        let (src, dst) = (act.as_slice(), cols.as_mut_slice());
+        let mut row = 0;
+        for c in 0..in_channels {
+            let plane = &src[c * h * wdt..(c + 1) * h * wdt];
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let out = &mut dst[row * oh * ow..(row + 1) * oh * ow];
+                    row += 1;
+                    for oy in 0..oh {
+                        let Some(iy) = (oy * stride.0 + ky)
+                            .checked_sub(padding.0)
+                            .filter(|&iy| iy < h)
+                        else {
+                            continue;
+                        };
+                        let line = &plane[iy * wdt..(iy + 1) * wdt];
+                        for (ox, x) in out[oy * ow..(oy + 1) * ow].iter_mut().enumerate() {
+                            if let Some(&v) = (ox * stride.1 + kx)
+                                .checked_sub(padding.1)
+                                .and_then(|ix| line.get(ix))
+                            {
+                                *x = v;
+                            }
+                        }
+                    }
+                }
             }
-        });
+        }
         // Pack once per layer: OIHW weights row-pack with no reshape/clone
         // (trailing dims flatten to the im2col row), the patch matrix
         // column-packs at the layer's own activation width. Every output
@@ -1126,5 +1144,51 @@ mod tests {
         let trace = ex.execute(&layers, &x, &ws).unwrap();
         assert_eq!(trace.output, ex.execute_reference(&layers, &x, &ws));
         assert_eq!(trace.output.shape(), &[5, 5, 5]);
+    }
+
+    /// One convolution over a `[c, h, w]` input of the given geometry,
+    /// executed and checked against the reference; returns the output shape.
+    fn conv_matches_reference(
+        (c, h, w): (usize, usize, usize),
+        out_channels: usize,
+        kernel: (usize, usize),
+        stride: (usize, usize),
+        padding: (usize, usize),
+    ) -> Vec<usize> {
+        let layers = vec![Layer::new(
+            "c",
+            LayerKind::Conv2d {
+                in_channels: c,
+                out_channels,
+                kernel,
+                stride,
+                padding,
+                input_hw: (h, w),
+            },
+        )];
+        let ws = WeightStore::synthesize(&layers, 44);
+        let x = Tensor::from_fn(&[c, h, w], |idx| {
+            (mix(303 ^ (idx[0] * 10_000 + idx[1] * 100 + idx[2]) as u64) % 200) as i32 - 100
+        });
+        let ex = executor();
+        let trace = ex.execute(&layers, &x, &ws).unwrap();
+        assert_eq!(trace.output, ex.execute_reference(&layers, &x, &ws));
+        trace.output.shape().to_vec()
+    }
+
+    #[test]
+    fn asymmetric_convolution_matches_reference() {
+        // Height and width differ in kernel, stride and padding, so any
+        // swap of the two axes in im2col shows.
+        let shape = conv_matches_reference((3, 9, 7), 4, (3, 5), (2, 1), (0, 2));
+        assert_eq!(shape, [4, 4, 7]);
+    }
+
+    #[test]
+    fn token_projection_1x1_matches_reference() {
+        // A 1×1 stride-1 projection over a [c, tokens, 1] input, the shape
+        // the transformer block's dense layers run at.
+        let shape = conv_matches_reference((16, 12, 1), 8, (1, 1), (1, 1), (0, 0));
+        assert_eq!(shape, [8, 12, 1]);
     }
 }

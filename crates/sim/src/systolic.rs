@@ -202,7 +202,7 @@ impl SystolicArray {
     /// `a` holds the `m` rows of `A` (e.g. output channels' weight vectors)
     /// and `b` the `n` columns of `B` (e.g. im2col patches), both
     /// decomposed once by the caller — via
-    /// [`PackedSliceMatrix::pack_rows`]/[`pack_from_fn`](PackedSliceMatrix::pack_from_fn)
+    /// [`PackedSliceMatrix::pack_rows`]/[`pack_cols`](PackedSliceMatrix::pack_cols)
     /// or `bpvec-dnn`'s `pack_gemm_rows`/`pack_gemm_cols` — and reused
     /// across every output tile here (and across calls: weights stay packed
     /// for a whole layer, recurrent layers for the whole sequence).
@@ -302,12 +302,10 @@ impl SystolicArray {
                 block
             })
             .collect();
+        let out = output.as_mut_slice();
         for ((lo, hi), block) in blocks.into_iter().zip(computed) {
-            for (ri, i) in (lo..hi).enumerate() {
-                for j in 0..n {
-                    output[&[i, j]] =
-                        i32::try_from(block[ri * n + j]).expect("quantized GEMM results fit i32");
-                }
+            for (o, &v) in out[lo * n..hi * n].iter_mut().zip(&block) {
+                *o = i32::try_from(v).expect("quantized GEMM results fit i32");
             }
         }
         // MACs are charged per *computed* output (matching `gemm`, which
