@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::SliceWidth;
+
 /// Errors produced by the bit-slicing algebra and the CVU functional model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -46,6 +48,14 @@ pub enum CoreError {
         required_bits: u32,
         /// Bits provided by the hardware.
         provided_bits: u32,
+    },
+    /// Operands packed at one slicing were given to CVUs that slice at
+    /// another.
+    SliceWidthMismatch {
+        /// The slicing the operands were packed at.
+        packed: SliceWidth,
+        /// The slicing of the array's CVUs.
+        array: SliceWidth,
     },
     /// A width string (`"int4"`, `"2b"`, …) could not be parsed.
     ParseWidth {
@@ -93,6 +103,12 @@ impl fmt::Display for CoreError {
                 f,
                 "accumulation needs {required_bits} bits but hardware provides {provided_bits}"
             ),
+            CoreError::SliceWidthMismatch { packed, array } => write!(
+                f,
+                "operands packed in {}-bit slices cannot run on CVUs that slice {} bits",
+                packed.bits(),
+                array.bits()
+            ),
             CoreError::ParseWidth { what, input } => {
                 write!(f, "cannot parse `{input}` as a {what}")
             }
@@ -124,6 +140,10 @@ mod tests {
             CoreError::AccumulatorOverflow {
                 required_bits: 70,
                 provided_bits: 64,
+            },
+            CoreError::SliceWidthMismatch {
+                packed: SliceWidth::BIT2,
+                array: SliceWidth::BIT4,
             },
         ];
         for e in errs {

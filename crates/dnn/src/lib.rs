@@ -8,8 +8,8 @@
 //! * [`quant`] — symmetric linear quantization to arbitrary bitwidths
 //!   (1..=8), the transformation that produces the heterogeneous-bitwidth
 //!   workloads of Table I;
-//! * [`packing`] — the bit-packed memory format the footprint/traffic
-//!   accounting assumes (four 2-bit weights per byte, etc.);
+//! * [`packing`] — tensors packed into the bit-plane operand layout the
+//!   bit-true GEMMs consume;
 //! * [`layer`] — layer descriptors (convolution, fully-connected, pooling,
 //!   recurrent cells) exposing the shape arithmetic every experiment needs:
 //!   multiply-accumulate counts, parameter/activation footprints;
@@ -40,7 +40,6 @@ pub mod tensor;
 
 pub use layer::{Layer, LayerKind};
 pub use models::{transformer_block, BitwidthPolicy, ModelQueryError, Network, NetworkId};
-pub use packing::PackedTensor;
 pub use precision::{
     DegradationLadder, LadderError, LayerPrecision, PrecisionError, PrecisionPolicy,
 };

@@ -10,18 +10,26 @@
 //! runs — and validated against `bpvec-dnn`'s reference operators.
 //!
 //! Execution runs on the packed bit-plane path
-//! ([`SystolicArray::gemm_packed`]): each layer's weights and im2col
-//! patches are decomposed once into [`bpvec_core::PackedSliceMatrix`]
-//! planes at that layer's own `(activation, weight)` bitwidths — so
-//! mixed-precision networks execute without repacking to a uniform width —
-//! and every output tile (and, for recurrent layers, every timestep)
-//! reuses the packed operands through the word-level slice kernels. This
-//! is what makes complete Table I networks (e.g. AlexNet at 224×224)
-//! executable bit-true in seconds; the integration tests in
-//! `tests/bit_true_table1.rs` do exactly that against the reference
-//! pipeline.
+//! ([`SystolicArray::gemm_packed`]). Weights are static, so they are
+//! bit-sliced once, at load: [`WeightStore::synthesize`] packs each compute
+//! layer's weights into [`bpvec_core::PackedSliceMatrix`] planes at that
+//! layer's weight width, and [`NetworkExecutor::execute`] packs only
+//! activations — each layer's im2col patches or input vector, at that
+//! layer's activation width — so mixed-precision networks execute without
+//! repacking to a uniform width. Every output tile (and, for recurrent
+//! layers, every timestep) reuses the packed operands through the
+//! word-level slice kernels. [`NetworkExecutor::execute_reference`]
+//! regenerates each layer's weights from the store's seed and never reads
+//! the planes, so the oracle does not depend on the packer. This is what
+//! makes complete Table I networks (e.g. AlexNet at 224×224) executable
+//! bit-true in seconds; the integration tests in `tests/bit_true_table1.rs`
+//! do exactly that against the reference pipeline.
 
-use bpvec_core::{kernels, BitWidth, CoreError, PackedSliceMatrix, Signedness, SliceWidth};
+use std::sync::OnceLock;
+
+use bpvec_core::{
+    kernels, BitWidth, CoreError, CvuConfig, PackedSliceMatrix, Signedness, SliceWidth,
+};
 use bpvec_dnn::layer::{Layer, LayerKind};
 use bpvec_dnn::packing::{pack_gemm_cols, pack_gemm_rows};
 use bpvec_dnn::reference;
@@ -29,14 +37,32 @@ use bpvec_dnn::Tensor;
 
 use crate::systolic::{packed_tile_geometry, SystolicArray};
 
-/// Deterministic synthetic quantized weights for a layer stack.
+/// Deterministic synthetic quantized weights for a layer stack, kept
+/// bit-sliced the way the accelerator keeps its static operands.
 ///
 /// Values are derived from `seed` with a splitmix-style hash and fit each
 /// layer's declared signed weight range, so any two runs (and the reference
-/// pipeline) see identical parameters.
+/// pipeline) see identical parameters. [`WeightStore::synthesize`] packs
+/// each compute layer's values once, as GEMM rows at the layer's weight
+/// width and the paper's 2-bit CVU slicing, and keeps only the packed
+/// planes: [`NetworkExecutor::execute`] reads them, while
+/// [`NetworkExecutor::execute_reference`] regenerates the `i32` values from
+/// the seed.
 #[derive(Debug, Clone)]
 pub struct WeightStore {
-    weights: Vec<Tensor>,
+    seed: u64,
+    layers: Vec<StoredWeights>,
+}
+
+/// One layer's weights: its shape and width, the packed rows (`None` for a
+/// layer without parameters), and the `i32` view once
+/// [`WeightStore::layer`] has been asked for it.
+#[derive(Debug, Clone)]
+struct StoredWeights {
+    shape: Vec<usize>,
+    bits: BitWidth,
+    packed: Option<PackedSliceMatrix>,
+    view: OnceLock<Tensor>,
 }
 
 fn mix(mut z: u64) -> u64 {
@@ -46,56 +72,113 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The weight shape of a layer, rows first: OIHW for a convolution,
+/// `[out, in]` for a dense layer, `[gates·hidden, input + hidden]` for a
+/// recurrent cell. `None` for pooling and the attention-era ops: attention
+/// GEMMs multiply two activation operands, and normalization/activation ops
+/// just move bytes.
+fn weight_shape(kind: &LayerKind) -> Option<Vec<usize>> {
+    match *kind {
+        LayerKind::Conv2d {
+            in_channels,
+            out_channels,
+            kernel,
+            ..
+        } => Some(vec![out_channels, in_channels, kernel.0, kernel.1]),
+        LayerKind::FullyConnected {
+            in_features,
+            out_features,
+        } => Some(vec![out_features, in_features]),
+        LayerKind::Recurrent {
+            input_size,
+            hidden_size,
+            gates,
+            ..
+        } => Some(vec![gates * hidden_size, input_size + hidden_size]),
+        LayerKind::Pool { .. }
+        | LayerKind::MatMulQK { .. }
+        | LayerKind::Softmax { .. }
+        | LayerKind::AttentionV { .. }
+        | LayerKind::LayerNorm { .. }
+        | LayerKind::Gelu { .. } => None,
+    }
+}
+
+/// The weights of layer `li` of a stack synthesized from `seed`: row-major
+/// element `i` is `lo + mix(seed ^ li << 32 ^ i) mod 2^bits`, which spans
+/// the signed `bits` range exactly.
+fn generate(seed: u64, li: usize, bits: BitWidth, shape: &[usize]) -> Tensor {
+    let (lo, hi) = bits.range(Signedness::Signed);
+    // The signed span `hi - lo + 1` is a power of two, so masking with
+    // `span - 1` reduces modulo it.
+    let mask = (hi - lo) as u64;
+    let key = seed ^ ((li as u64) << 32);
+    let len = shape.iter().product::<usize>() as u64;
+    let data = (0..len).map(|i| lo + (mix(key ^ i) & mask) as i32);
+    Tensor::from_data(shape, data.collect())
+}
+
 impl WeightStore {
-    /// Synthesizes weights for every compute layer of `layers`.
+    /// Synthesizes weights for every compute layer of `layers` and packs
+    /// them at the paper's CVU slicing
+    /// ([`CvuConfig::paper_default`]`().slice_width`).
     #[must_use]
     pub fn synthesize(layers: &[Layer], seed: u64) -> Self {
-        let mut weights = Vec::new();
-        for (li, layer) in layers.iter().enumerate() {
-            let (lo, hi) = layer.weight_bits.range(Signedness::Signed);
-            let span = (hi - lo + 1) as u64;
-            let shape: Vec<usize> = match layer.kind {
-                LayerKind::Conv2d {
-                    in_channels,
-                    out_channels,
-                    kernel,
-                    ..
-                } => vec![out_channels, in_channels, kernel.0, kernel.1],
-                LayerKind::FullyConnected {
-                    in_features,
-                    out_features,
-                } => vec![out_features, in_features],
-                LayerKind::Recurrent {
-                    input_size,
-                    hidden_size,
-                    gates,
-                    ..
-                } => vec![gates * hidden_size, input_size + hidden_size],
-                // Pooling and the attention-era ops have no stored
-                // parameters: attention GEMMs multiply two activation
-                // operands, normalization/activation ops just move bytes.
-                LayerKind::Pool { .. }
-                | LayerKind::MatMulQK { .. }
-                | LayerKind::Softmax { .. }
-                | LayerKind::AttentionV { .. }
-                | LayerKind::LayerNorm { .. }
-                | LayerKind::Gelu { .. } => vec![0],
-            };
-            let mut i = 0u64;
-            let t = Tensor::from_fn(&shape, |_| {
-                let v = lo + (mix(seed ^ (li as u64) << 32 ^ i) % span) as i32;
-                i += 1;
-                v
-            });
-            weights.push(t);
-        }
-        WeightStore { weights }
+        let slicing = CvuConfig::paper_default().slice_width;
+        let layers = layers
+            .iter()
+            .enumerate()
+            .map(|(li, layer)| {
+                let bits = layer.weight_bits;
+                let (shape, packed) = match weight_shape(&layer.kind) {
+                    Some(shape) => {
+                        let w = generate(seed, li, bits, &shape);
+                        let packed = pack_gemm_rows(&w, bits, slicing, Signedness::Signed)
+                            .expect("synthesized weights fit their declared width");
+                        (shape, Some(packed))
+                    }
+                    None => (vec![0], None),
+                };
+                StoredWeights {
+                    shape,
+                    bits,
+                    packed,
+                    view: OnceLock::new(),
+                }
+            })
+            .collect();
+        WeightStore { seed, layers }
     }
 
-    /// The weights of layer `index`.
+    /// The weights of layer `index` as an `i32` tensor (empty, of shape
+    /// `[0]`, for a layer without parameters). Regenerated from the seed
+    /// on the first call and kept for later ones; execution never needs
+    /// it.
     #[must_use]
     pub fn layer(&self, index: usize) -> &Tensor {
-        &self.weights[index]
+        self.layers[index]
+            .view
+            .get_or_init(|| self.regenerate(index))
+    }
+
+    /// Layer `index`'s `i32` weights, regenerated from the seed without
+    /// touching the packed planes.
+    fn regenerate(&self, index: usize) -> Tensor {
+        let l = &self.layers[index];
+        generate(self.seed, index, l.bits, &l.shape)
+    }
+
+    /// Layer `index`'s packed weight rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer has no parameters: the store was synthesized for
+    /// a different layer stack.
+    fn packed(&self, index: usize) -> &PackedSliceMatrix {
+        self.layers[index]
+            .packed
+            .as_ref()
+            .expect("a compute layer's weights are in the store synthesized for its stack")
     }
 }
 
@@ -328,6 +411,24 @@ impl NetworkExecutor {
         self.array.config().cvu.slice_width
     }
 
+    /// Layer `li`'s packed weight rows from `weights`, checked against this
+    /// array's slicing.
+    fn packed_weights<'w>(
+        &self,
+        weights: &'w WeightStore,
+        li: usize,
+    ) -> Result<&'w PackedSliceMatrix, CoreError> {
+        let pw = weights.packed(li);
+        if pw.slice_width() == self.slice_width() {
+            Ok(pw)
+        } else {
+            Err(CoreError::SliceWidthMismatch {
+                packed: pw.slice_width(),
+                array: self.slice_width(),
+            })
+        }
+    }
+
     /// Executes `layers` on `input` with `weights`, bit-true.
     ///
     /// Convolutions/dense layers run as im2col GEMMs on the array, are
@@ -337,7 +438,9 @@ impl NetworkExecutor {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError`] from the array (operand range/composition).
+    /// Returns [`CoreError::SliceWidthMismatch`] when a layer's weights are
+    /// packed at a slicing other than this array's CVU slicing, and
+    /// propagates [`CoreError`] from the array (operand range/composition).
     ///
     /// # Panics
     ///
@@ -357,7 +460,6 @@ impl NetworkExecutor {
             let last = li == layers.len() - 1;
             let no_relu = last || feeds_transformer_op(layers, li);
             let out_bits = output_bits(layers, li);
-            let w = weights.layer(li);
             let (out, cycles, array_macs, shift, tiles) = match layer.kind {
                 LayerKind::Conv2d {
                     in_channels,
@@ -366,8 +468,9 @@ impl NetworkExecutor {
                     padding,
                     ..
                 } => {
+                    let pw = self.packed_weights(weights, li)?;
                     let (acc, cycles, macs, tiles) =
-                        self.conv_on_array(layer, &act, w, in_channels, kernel, stride, padding)?;
+                        self.conv_on_array(layer, &act, pw, in_channels, kernel, stride, padding)?;
                     let shift = requant_shift_for(&acc, out_bits);
                     let q = reference::requantize(&acc, shift, out_bits, Signedness::Signed);
                     let q = if no_relu { q } else { reference::relu(&q) };
@@ -375,14 +478,9 @@ impl NetworkExecutor {
                 }
                 LayerKind::FullyConnected { in_features, .. } => {
                     assert_eq!(act.len(), in_features, "fc input length");
-                    // Weights packed once for the layer; the activation is a
-                    // single packed vector (the lone GEMM column).
-                    let pw = pack_gemm_rows(
-                        w,
-                        layer.weight_bits,
-                        self.slice_width(),
-                        Signedness::Signed,
-                    )?;
+                    // The activation is a single packed vector (the lone GEMM
+                    // column).
+                    let pw = self.packed_weights(weights, li)?;
                     let px = PackedSliceMatrix::pack(
                         act.as_slice(),
                         layer.act_bits,
@@ -390,10 +488,10 @@ impl NetworkExecutor {
                         Signedness::Signed,
                     )?;
                     let mut tiles = TileTally::default();
-                    tiles.add(&pw, &px);
-                    let run = self.array.gemm_packed(&pw, &px)?;
+                    tiles.add(pw, &px);
+                    let run = self.array.gemm_packed(pw, &px)?;
                     let mut acc = run.output;
-                    acc.reshape(&[w.shape()[0]]);
+                    acc.reshape(&[pw.num_vecs()]);
                     let shift = requant_shift_for(&acc, out_bits);
                     let q = reference::requantize(&acc, shift, out_bits, Signedness::Signed);
                     let q = if no_relu { q } else { reference::relu(&q) };
@@ -543,7 +641,7 @@ impl NetworkExecutor {
                 } => self.recurrent_on_array(
                     layer,
                     &act,
-                    w,
+                    self.packed_weights(weights, li)?,
                     input_size,
                     hidden_size,
                     gates,
@@ -573,7 +671,9 @@ impl NetworkExecutor {
 
     /// Reference execution of the identical pipeline (same weights, same
     /// requantization) without the accelerator — the ground truth
-    /// [`Self::execute`] must match bit-for-bit.
+    /// [`Self::execute`] must match bit-for-bit. Each compute layer's `i32`
+    /// weights are regenerated from the store's seed, used and dropped; the
+    /// packed planes are never read.
     #[must_use]
     pub fn execute_reference(
         &self,
@@ -587,12 +687,11 @@ impl NetworkExecutor {
             let last = li == layers.len() - 1;
             let no_relu = last || feeds_transformer_op(layers, li);
             let out_bits = output_bits(layers, li);
-            let w = weights.layer(li);
             act = match layer.kind {
                 LayerKind::Conv2d {
                     stride, padding, ..
                 } => {
-                    let acc = reference::conv2d(&act, w, stride, padding);
+                    let acc = reference::conv2d(&act, &weights.regenerate(li), stride, padding);
                     let shift = requant_shift_for(&acc, out_bits);
                     let q = reference::requantize(&acc, shift, out_bits, Signedness::Signed);
                     if no_relu {
@@ -602,7 +701,7 @@ impl NetworkExecutor {
                     }
                 }
                 LayerKind::FullyConnected { .. } => {
-                    let acc = reference::gemv(w, &act);
+                    let acc = reference::gemv(&weights.regenerate(li), &act);
                     let shift = requant_shift_for(&acc, out_bits);
                     let q = reference::requantize(&acc, shift, out_bits, Signedness::Signed);
                     if no_relu {
@@ -682,7 +781,15 @@ impl NetworkExecutor {
                     hidden_size,
                     gates,
                     seq_len,
-                } => reference_recurrent(layer, &act, w, input_size, hidden_size, gates, seq_len),
+                } => reference_recurrent(
+                    layer,
+                    &act,
+                    &weights.regenerate(li),
+                    input_size,
+                    hidden_size,
+                    gates,
+                    seq_len,
+                ),
             };
         }
         act
@@ -693,7 +800,7 @@ impl NetworkExecutor {
         &self,
         layer: &Layer,
         act: &Tensor,
-        w: &Tensor,
+        pw: &PackedSliceMatrix,
         in_channels: usize,
         kernel: (usize, usize),
         stride: (usize, usize),
@@ -735,12 +842,10 @@ impl NetworkExecutor {
                 }
             }
         }
-        // Pack once per layer: OIHW weights row-pack with no reshape/clone
-        // (trailing dims flatten to the im2col row), the patch matrix
-        // column-packs at the layer's own activation width. Every output
-        // tile of the GEMM then reuses these planes.
-        let oc = w.shape()[0];
-        let pw = pack_gemm_rows(w, layer.weight_bits, self.slice_width(), Signedness::Signed)?;
+        // The patch matrix column-packs at the layer's own activation width
+        // against the OIHW weight rows packed at load. Every output tile of
+        // the GEMM then reuses these planes.
+        let oc = pw.num_vecs();
         let pcols = pack_gemm_cols(
             &cols,
             layer.act_bits,
@@ -748,8 +853,8 @@ impl NetworkExecutor {
             Signedness::Signed,
         )?;
         let mut tiles = TileTally::default();
-        tiles.add(&pw, &pcols);
-        let run = self.array.gemm_packed(&pw, &pcols)?;
+        tiles.add(pw, &pcols);
+        let run = self.array.gemm_packed(pw, &pcols)?;
         let mut out = run.output;
         out.reshape(&[oc, oh, ow]);
         Ok((out, run.cycles, run.macs, tiles))
@@ -760,7 +865,7 @@ impl NetworkExecutor {
         &self,
         layer: &Layer,
         act: &Tensor,
-        w: &Tensor,
+        pw: &PackedSliceMatrix,
         input_size: usize,
         hidden_size: usize,
         gates: usize,
@@ -768,9 +873,8 @@ impl NetworkExecutor {
     ) -> Result<(Tensor, u64, u64, u32, TileTally), CoreError> {
         assert_eq!(act.shape(), &[seq_len, input_size], "recurrent input");
         let shift = recurrent_shift(layer, input_size, hidden_size);
-        // The gate weights are packed once and reused across every timestep
-        // of the sequence — only the (small) [x; h] vector repacks per step.
-        let pw = pack_gemm_rows(w, layer.weight_bits, self.slice_width(), Signedness::Signed)?;
+        // The packed gate weights serve every timestep of the sequence —
+        // only the (small) [x; h] vector packs per step.
         let mut h = Tensor::zeros(&[hidden_size]);
         let mut c = Tensor::zeros(&[hidden_size]);
         let mut outputs = Tensor::zeros(&[seq_len, hidden_size]);
@@ -787,8 +891,8 @@ impl NetworkExecutor {
                 self.slice_width(),
                 Signedness::Signed,
             )?;
-            tiles.add(&pw, &pxh);
-            let run = self.array.gemm_packed(&pw, &pxh)?;
+            tiles.add(pw, &pxh);
+            let run = self.array.gemm_packed(pw, &pxh)?;
             cycles += run.cycles;
             macs += run.macs;
             let mut pre = run.output;
@@ -980,6 +1084,10 @@ mod tests {
         let trace = ex.execute(&layers, &x, &ws).unwrap();
         let expect = ex.execute_reference(&layers, &x, &ws);
         assert_eq!(trace.output, expect);
+        assert!(
+            ws.layers.iter().all(|l| l.view.get().is_none()),
+            "neither path keeps i32 weights"
+        );
         assert_eq!(trace.layers.len(), 4);
         assert_eq!(trace.layers[1].cycles, 0, "pooling uses no array cycles");
         // The fc layer consumed a flattened view; make sure shapes ended 1-D.
@@ -1133,6 +1241,112 @@ mod tests {
         }
         let c = WeightStore::synthesize(&layers, 8);
         assert_ne!(a.layer(0), c.layer(0), "different seed, different weights");
+    }
+
+    /// The weight generator written independently of `generate`: a
+    /// `Tensor::from_fn` walk that reduces each hash with `% span`. Kept
+    /// only here, as the oracle that pins the weight values.
+    fn from_fn_weights(shape: &[usize], li: usize, bits: BitWidth, seed: u64) -> Tensor {
+        let (lo, hi) = bits.range(Signedness::Signed);
+        let span = (hi - lo + 1) as u64;
+        let mut i = 0u64;
+        Tensor::from_fn(shape, |_| {
+            let v = lo + (mix(seed ^ (li as u64) << 32 ^ i) % span) as i32;
+            i += 1;
+            v
+        })
+    }
+
+    #[test]
+    fn stored_weights_match_the_from_fn_generator_and_its_packing() {
+        let fc = LayerKind::FullyConnected {
+            in_features: 37,
+            out_features: 9,
+        };
+        let rnn = |gates| LayerKind::Recurrent {
+            input_size: 7,
+            hidden_size: 5,
+            gates,
+            seq_len: 3,
+        };
+        let pool = LayerKind::Pool {
+            channels: 5,
+            kernel: (2, 2),
+            stride: (2, 2),
+            input_hw: (6, 6),
+        };
+        let stack: [(Layer, &[usize]); 5] = [
+            (conv("c", 3, 5, 3, 1, 1, 6), &[5, 3, 3, 3]),
+            (Layer::new("p", pool), &[0]),
+            (Layer::new("fc", fc), &[9, 37]),
+            (Layer::new("rnn", rnn(1)), &[5, 12]),
+            (Layer::new("lstm", rnn(4)), &[20, 12]),
+        ];
+        for bits in 1..=8 {
+            let bw = BitWidth::new(bits).unwrap();
+            let layers: Vec<Layer> = stack
+                .iter()
+                .map(|(l, _)| l.clone().with_bits(BitWidth::INT8, bw))
+                .collect();
+            let seed = 0x5eed_0000 + u64::from(bits);
+            let ws = WeightStore::synthesize(&layers, seed);
+            for (li, (layer, shape)) in stack.iter().enumerate() {
+                let want = from_fn_weights(shape, li, bw, seed);
+                assert_eq!(ws.layer(li), &want, "{} at {bits} bits", layer.name);
+                let planes = ws.layers[li].packed.as_ref();
+                if shape == &[0] {
+                    assert!(planes.is_none(), "{} has no parameters", layer.name);
+                    continue;
+                }
+                let packed =
+                    pack_gemm_rows(ws.layer(li), bw, SliceWidth::BIT2, Signedness::Signed).unwrap();
+                assert_eq!(planes, Some(&packed), "{} at {bits} bits", layer.name);
+            }
+        }
+    }
+
+    #[test]
+    fn weights_packed_for_other_cvus_are_a_typed_error() {
+        let four_bit_slices = NetworkExecutor::new(SystolicArray::new(ArrayConfig {
+            rows: 4,
+            cols: 4,
+            cvu: bpvec_core::CvuConfig::for_slicing(4, 8, 16).unwrap(),
+        }));
+        let fc = Layer::new(
+            "fc",
+            LayerKind::FullyConnected {
+                in_features: 12,
+                out_features: 4,
+            },
+        );
+        let rnn = Layer::new(
+            "rnn",
+            LayerKind::Recurrent {
+                input_size: 12,
+                hidden_size: 4,
+                gates: 1,
+                seq_len: 1,
+            },
+        );
+        let cases = [
+            (conv("c", 3, 4, 3, 1, 1, 2), input(3, 2, 1)),
+            (fc, Tensor::zeros(&[12])),
+            (rnn, Tensor::zeros(&[1, 12])),
+        ];
+        for (layer, x) in cases {
+            let layers = vec![layer];
+            let ws = WeightStore::synthesize(&layers, 3);
+            let err = four_bit_slices.execute(&layers, &x, &ws).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::SliceWidthMismatch {
+                    packed: SliceWidth::BIT2,
+                    array: SliceWidth::BIT4,
+                },
+                "{}",
+                layers[0].name
+            );
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   dot-product goes through [`bpvec_core::Cvu`], slicing scalars one by
 //!   one. Exact, slow, kept as the ground truth the fast path is pinned to.
 //! * [`SystolicArray::gemm_packed`] — the execution path: operands arrive
-//!   pre-decomposed as [`PackedSliceMatrix`] bit planes (packed once per
-//!   layer by the caller), and each output tile streams whole planes
-//!   through the word-level popcount/SWAR kernels. Identical outputs,
-//!   identical cycle accounting, orders of magnitude faster — fast enough
-//!   to run full Table I networks bit-true.
+//!   pre-decomposed as [`PackedSliceMatrix`] bit planes (weights once at
+//!   load, activations once per layer, by the caller), and each output
+//!   tile streams whole planes through the word-level popcount/SWAR
+//!   kernels. Identical outputs, identical cycle accounting, orders of
+//!   magnitude faster — fast enough to run full Table I networks bit-true.
 
 use bpvec_core::{kernels, BitWidth, CoreError, Cvu, CvuConfig, PackedSliceMatrix, Signedness};
 use bpvec_dnn::Tensor;
@@ -204,8 +204,8 @@ impl SystolicArray {
     /// decomposed once by the caller — via
     /// [`PackedSliceMatrix::pack_rows`]/[`pack_cols`](PackedSliceMatrix::pack_cols)
     /// or `bpvec-dnn`'s `pack_gemm_rows`/`pack_gemm_cols` — and reused
-    /// across every output tile here (and across calls: weights stay packed
-    /// for a whole layer, recurrent layers for the whole sequence).
+    /// across every output tile here (and across calls: weights are packed
+    /// once, at load, and serve every job and every recurrent timestep).
     ///
     /// The array mapping and cycle accounting are identical to
     /// [`SystolicArray::gemm`]: rows of `A` to CVU rows, columns of `B` to
