@@ -10,17 +10,40 @@
 //! ```
 //!
 //! where `w_t = 2^t`, negated for the top bit of a signed operand (two's
-//! complement). [`crate::nbve::slice_dot_words`] is this primitive over a
-//! single slice plane per operand; the fused [`crate::PackedSliceMatrix::dot`]
-//! is the same primitive over all planes at once.
+//! complement). The paper's CVU applies each significance once per cluster
+//! output, after the adder trees have reduced the whole vector (§II,
+//! Equation 4); the kernels here follow it by summing popcounts per
+//! significance `t = i + l` and shifting once per output.
+//!
+//! The primitive has two realizations:
+//!
+//! * **Per dot** — one output at a time. [`crate::nbve::slice_dot_words`]
+//!   is the primitive over a single slice plane per operand, the fused
+//!   [`crate::PackedSliceMatrix::dot`] over all planes at once, and GEMM
+//!   blocks with fewer than [`LANE_MIN_COLS`] columns (GEMVs) run it per
+//!   output on pre-extracted sub-planes zero-padded to [`pad_words`].
+//! * **Lane micro-kernel** — the GEMM block
+//!   ([`crate::PackedSliceMatrix::dot_block_lanes_into`]). Each operand's
+//!   sub-planes are *dense*: sub-plane `p` of `s` consecutive `s`-bit
+//!   words packs into one word, word `r`'s bits shifted left by `r`, so a
+//!   word holds 64 elements. Both operands share that element order, so
+//!   AND + popcount still pairs equal elements. A *lane panel* holds the
+//!   dense sub-planes of one A row per SIMD lane (8 on AVX-512, 4 on
+//!   AVX2); each B column's words are broadcast against it, and each
+//!   significance keeps its own accumulator, shifted once when the column
+//!   is done. Signs cost no per-pair branch: each signed operand's top
+//!   sub-plane is flipped over its valid elements, mapping `x` to
+//!   `u = x + 2^(b−1)` (`b` sub-planes), the kernel runs sign-free, and
+//!   every output is corrected once:
+//!   `dot = Σuv − o_b·Σu − o_a·Σv + k·o_a·o_b`.
 //!
 //! This module provides three interchangeable realizations ("tiers"):
 //!
 //! * [`KernelTier::Scalar`] — portable u64 popcount/SWAR, always available,
-//!   always correct. This is the reference the SIMD tiers are pinned to.
+//!   always correct. This is the reference the SIMD tiers are pinned to; it
+//!   runs the per-dot realization for every shape.
 //! * [`KernelTier::Avx2`] — 256-bit lanes, AND + vpshufb nibble-LUT
-//!   popcount (Mula/Harley-Seal style) + `vpsadbw` lane reduction, with the
-//!   SWAR significance weighting applied in-register via `vpsllq`.
+//!   popcount (Mula/Harley-Seal style) + `vpsadbw` lane reduction.
 //! * [`KernelTier::Avx512`] — 512-bit lanes with native `vpopcntq`
 //!   (AVX-512 VPOPCNTDQ), the fastest path on modern x86 servers.
 //!
@@ -73,7 +96,8 @@ impl KernelTier {
         }
     }
 
-    /// u64 words processed per SIMD iteration (1 for the scalar tier).
+    /// u64 words per SIMD vector (1 for the scalar tier): the per-dot
+    /// kernels' chunk, and the lane kernel's A rows per lane panel.
     #[must_use]
     pub fn lane_words(self) -> usize {
         match self {
@@ -278,22 +302,185 @@ pub fn pad_words(words: usize) -> usize {
     words.div_ceil(8) * 8
 }
 
-/// Columns per stationary-operand panel in the blocked packed GEMM: as many
-/// columns as keep the extracted sub-plane working set (`bbits × wpad`
-/// words per column) inside an L1-sized target, clamped to `[1, 64]`.
-/// Exposed so the executor can report the tile geometry it ran with.
+/// Fewest B columns for which a SIMD tier runs a GEMM block on the lane
+/// micro-kernel; narrower blocks (GEMVs: dense layers, recurrent
+/// timesteps) keep the per-dot kernel, since extracting A's lane panels
+/// is amortized over the columns. Measured on a 2-vCPU AVX-512 host, the
+/// lane path took AlexNet fc6's GEMV (`n = 1`, `k = 9216`) in 14.1 ms
+/// against 4.5 ms per dot.
+pub const LANE_MIN_COLS: usize = 8;
+
+/// True when a GEMM block against `cols` columns runs on the lane
+/// micro-kernel under `tier`: any SIMD tier, at least [`LANE_MIN_COLS`]
+/// columns. The scalar tier always runs the per-dot fused loop.
 ///
 /// ```
-/// use bpvec_core::kernels::col_panel_len;
-/// // Narrow, short operands fit many columns per panel...
-/// assert_eq!(col_panel_len(2, 8), 64);
-/// // ...wide, long ones fall back toward single-column panels.
-/// assert_eq!(col_panel_len(8, 4096), 1);
+/// use bpvec_core::kernels::{uses_lanes, KernelTier, LANE_MIN_COLS};
+/// assert!(uses_lanes(KernelTier::Avx2, LANE_MIN_COLS));
+/// assert!(!uses_lanes(KernelTier::Avx512, 1));
+/// assert!(!uses_lanes(KernelTier::Scalar, 4096));
 /// ```
 #[must_use]
-pub fn col_panel_len(bbits: usize, wpad: usize) -> usize {
-    const L1_TARGET_BYTES: usize = 16 * 1024;
-    (L1_TARGET_BYTES / (bbits.max(1) * wpad.max(1) * 8)).clamp(1, 64)
+pub fn uses_lanes(tier: KernelTier, cols: usize) -> bool {
+    tier != KernelTier::Scalar && cols >= LANE_MIN_COLS
+}
+
+/// Dense sub-plane words per vector of `len` elements: 64 elements each.
+#[inline]
+pub(crate) fn dense_words(len: usize) -> usize {
+    len.div_ceil(64)
+}
+
+/// The valid-element mask of a vector's last dense word (all ones when
+/// `len` fills it). Element `e` of a dense word sits at bit `f·s + r`,
+/// where `r = e / (64/s)` is its source word and `f = e mod (64/s)` its
+/// field.
+pub(crate) fn dense_tail_mask(len: usize, s: u32) -> u64 {
+    let fpw = 64 / s as usize;
+    let live = len - dense_words(len).saturating_sub(1) * 64;
+    (0..live).fold(0u64, |m, e| m | 1 << ((e % fpw) * s as usize + e / fpw))
+}
+
+/// The top-sub-plane offset `o = 2^(b−1)` a signed operand of `bits`
+/// sub-planes is shifted by in the lane kernel (0 when unsigned).
+#[inline]
+pub(crate) fn lane_offset(bits: usize, signed: bool) -> i64 {
+    if signed {
+        1 << (bits - 1)
+    } else {
+        0
+    }
+}
+
+/// Writes the dense sub-planes of one vector (its slice `planes` of
+/// `s`-bit fields), sub-plane `t` of dense word `w` at
+/// `out[(w · bits + t) · stride]`, and returns the vector's sum `Σu`.
+///
+/// With `flip = Some(tail)`, the top sub-plane is inverted over the valid
+/// elements (`tail` masks the last dense word), so the words encode
+/// `u = x + 2^(bits−1)`; tail elements stay zero either way.
+pub(crate) fn extract_dense(
+    planes: &[&[u64]],
+    s: u32,
+    flip: Option<u64>,
+    out: &mut [u64],
+    stride: usize,
+) -> i64 {
+    let su = s as usize;
+    let mask = subplane_mask(s);
+    let bits = planes.len() * su;
+    let words = planes.first().map_or(0, |p| p.len());
+    let dw = words.div_ceil(su);
+    let mut sum = 0i64;
+    for (j, plane) in planes.iter().enumerate() {
+        for p in 0..s {
+            let t = j * su + p as usize;
+            let top = flip.filter(|_| t + 1 == bits);
+            let mut count = 0u64;
+            for w in 0..dw {
+                let group = &plane[w * su..((w + 1) * su).min(words)];
+                let mut d = 0u64;
+                for (r, &word) in group.iter().enumerate() {
+                    d |= ((word >> p) & mask) << r;
+                }
+                if let Some(tail) = top {
+                    d ^= if w + 1 == dw { tail } else { u64::MAX };
+                }
+                count += u64::from(d.count_ones());
+                out[(w * bits + t) * stride] = d;
+            }
+            sum += (count as i64) << t;
+        }
+    }
+    sum
+}
+
+/// One lane panel of the lane micro-kernel: up to one SIMD vector of A
+/// rows against a block of prepared B columns.
+pub(crate) struct LanePanel<'a> {
+    /// A's dense sub-planes, `[dense word][sub-plane][lane]`.
+    pub a: &'a [u64],
+    /// Per lane: `k·o_a·o_b − o_b·Σu` for the lane's A row.
+    pub a_corr: [i64; 8],
+    /// B's dense sub-planes, `[column][dense word][sub-plane]`.
+    pub b: &'a [u64],
+    /// Per column: `Σv`.
+    pub b_sums: &'a [i64],
+    /// A's offset `o_a`.
+    pub a_offset: i64,
+    /// Dense words per vector.
+    pub dense_words: usize,
+    /// Output rows (A rows in this panel, at most one vector's lanes).
+    pub rows: usize,
+    /// Row-major `rows × b_sums.len()` output block.
+    pub out: &'a mut [i64],
+}
+
+/// A lane micro-kernel instance for a fixed (A, B) sub-plane count pair.
+#[cfg(target_arch = "x86_64")]
+type LaneFn = unsafe fn(&mut LanePanel<'_>);
+
+/// Instantiates `$f::<AB, BB>` for every sub-plane count pair in
+/// `1..=8 × 1..=8`, indexed `[AB − 1][BB − 1]`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! lane_table {
+    ($f:ident) => {
+        [
+            lane_table!(@row $f, 1),
+            lane_table!(@row $f, 2),
+            lane_table!(@row $f, 3),
+            lane_table!(@row $f, 4),
+            lane_table!(@row $f, 5),
+            lane_table!(@row $f, 6),
+            lane_table!(@row $f, 7),
+            lane_table!(@row $f, 8),
+        ]
+    };
+    (@row $f:ident, $a:literal) => {
+        [
+            $f::<$a, 1>,
+            $f::<$a, 2>,
+            $f::<$a, 3>,
+            $f::<$a, 4>,
+            $f::<$a, 5>,
+            $f::<$a, 6>,
+            $f::<$a, 7>,
+            $f::<$a, 8>,
+        ]
+    };
+}
+
+/// Runs the lane micro-kernel on `panel` through `tier`, for A and B of
+/// `abits` and `bbits` sub-planes: every output is
+/// `Σuv + a_corr[lane] − o_a·Σv`.
+///
+/// # Panics
+///
+/// Panics on the scalar tier or a tier this CPU lacks, on sub-plane counts
+/// outside `1..=8`, or if the panel's buffers are shorter than its
+/// geometry says.
+pub(crate) fn lane_panel(tier: KernelTier, abits: usize, bbits: usize, panel: &mut LanePanel<'_>) {
+    let lanes = tier.lane_words();
+    let cols = panel.b_sums.len();
+    assert!(
+        tier <= detected_tier(),
+        "kernel tier {tier} is not available on this CPU"
+    );
+    assert!((1..=MAX_BITS).contains(&abits) && (1..=MAX_BITS).contains(&bbits));
+    assert!(panel.a.len() >= panel.dense_words * abits * lanes);
+    assert!(panel.b.len() >= cols * panel.dense_words * bbits);
+    assert!(panel.rows <= lanes && panel.out.len() == panel.rows * cols);
+    match tier {
+        // SAFETY: AVX2 was detected at runtime (asserted above), and the
+        // asserts above bound every load the kernel makes.
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 => unsafe { avx2::LANE_PANEL[abits - 1][bbits - 1](panel) },
+        // SAFETY: AVX-512 F/BW/VL/VPOPCNTDQ were detected at runtime
+        // (asserted above), and the asserts above bound every load.
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 => unsafe { avx512::LANE_PANEL[abits - 1][bbits - 1](panel) },
+        _ => panic!("the lane micro-kernel needs a SIMD tier, got {tier}"),
+    }
 }
 
 /// The full weighted sub-plane popcount dot of two plane sets, through
@@ -540,6 +727,70 @@ mod avx2 {
         _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
         lanes.iter().fold(0i64, |s, &l| s.wrapping_add(l))
     }
+
+    /// The lane micro-kernel for every sub-plane count pair.
+    pub(super) static LANE_PANEL: [[super::LaneFn; MAX_BITS]; MAX_BITS] = lane_table!(lane_panel);
+
+    /// See [`super::lane_panel`]: four A rows across the lanes. Per pair,
+    /// the nibble-LUT popcount leaves byte counts ≤ 8; the ≤ 8 pairs of one
+    /// significance sum to ≤ 64 per byte before one `vpsadbw`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and the buffer lengths [`super::lane_panel`] asserts.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::needless_range_loop)] // constant-bound loops unroll over register arrays
+    unsafe fn lane_panel<const AB: usize, const BB: usize>(p: &mut super::LanePanel<'_>) {
+        let lut = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        );
+        let low_mask = _mm256_set1_epi8(0x0f);
+        let zero = _mm256_setzero_si256();
+        let a_corr = _mm256_loadu_si256(p.a_corr.as_ptr().cast());
+        let dw = p.dense_words;
+        let cols = p.b_sums.len();
+        let (ap, bp) = (p.a.as_ptr(), p.b.as_ptr());
+        for c in 0..cols {
+            let bcol = bp.add(c * dw * BB);
+            let mut acc = [zero; 2 * MAX_BITS - 1];
+            for w in 0..dw {
+                let mut av = [zero; MAX_BITS];
+                for i in 0..AB {
+                    av[i] = _mm256_loadu_si256(ap.add((w * AB + i) * 4).cast());
+                }
+                let mut bv = [zero; MAX_BITS];
+                for l in 0..BB {
+                    bv[l] = _mm256_set1_epi64x(*bcol.add(w * BB + l) as i64);
+                }
+                for t in 0..AB + BB - 1 {
+                    let mut bytes = zero;
+                    for i in t.saturating_sub(BB - 1)..AB.min(t + 1) {
+                        let v = _mm256_and_si256(av[i], bv[t - i]);
+                        let lo = _mm256_and_si256(v, low_mask);
+                        let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
+                        bytes = _mm256_add_epi8(bytes, _mm256_shuffle_epi8(lut, lo));
+                        bytes = _mm256_add_epi8(bytes, _mm256_shuffle_epi8(lut, hi));
+                    }
+                    acc[t] = _mm256_add_epi64(acc[t], _mm256_sad_epu8(bytes, zero));
+                }
+            }
+            // Σ_t acc_t · 2^t, one shift per significance (Horner).
+            let mut uv = acc[AB + BB - 2];
+            for t in (0..AB + BB - 2).rev() {
+                uv = _mm256_add_epi64(_mm256_slli_epi64::<1>(uv), acc[t]);
+            }
+            let dot = _mm256_sub_epi64(
+                _mm256_add_epi64(uv, a_corr),
+                _mm256_set1_epi64x(p.a_offset * p.b_sums[c]),
+            );
+            let mut lanes = [0i64; 4];
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), dot);
+            for (r, &v) in lanes.iter().enumerate().take(p.rows) {
+                p.out[r * cols + c] = v;
+            }
+        }
+    }
 }
 
 /// 512-bit AVX-512 tier: native `vpopcntq` (VPOPCNTDQ) makes the bit-pair
@@ -609,6 +860,57 @@ mod avx512 {
         let mut lanes = [0i64; 8];
         _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc);
         lanes.iter().fold(0i64, |s, &l| s.wrapping_add(l))
+    }
+
+    /// The lane micro-kernel for every sub-plane count pair.
+    pub(super) static LANE_PANEL: [[super::LaneFn; MAX_BITS]; MAX_BITS] = lane_table!(lane_panel);
+
+    /// See [`super::lane_panel`]: eight A rows across the lanes, one
+    /// `vpopcntq` per sub-plane pair and dense word.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/BW/VL/VPOPCNTDQ, and the buffer lengths
+    /// [`super::lane_panel`] asserts.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vpopcntdq")]
+    #[allow(clippy::needless_range_loop)] // constant-bound loops unroll over register arrays
+    unsafe fn lane_panel<const AB: usize, const BB: usize>(p: &mut super::LanePanel<'_>) {
+        let zero = _mm512_setzero_si512();
+        let a_corr = _mm512_loadu_si512(p.a_corr.as_ptr().cast());
+        let dw = p.dense_words;
+        let cols = p.b_sums.len();
+        let (ap, bp) = (p.a.as_ptr(), p.b.as_ptr());
+        for c in 0..cols {
+            let bcol = bp.add(c * dw * BB);
+            let mut acc = [zero; 2 * MAX_BITS - 1];
+            for w in 0..dw {
+                let mut av = [zero; MAX_BITS];
+                for i in 0..AB {
+                    av[i] = _mm512_loadu_si512(ap.add((w * AB + i) * 8).cast());
+                }
+                for l in 0..BB {
+                    let bv = _mm512_set1_epi64(*bcol.add(w * BB + l) as i64);
+                    for i in 0..AB {
+                        let cnt = _mm512_popcnt_epi64(_mm512_and_si512(av[i], bv));
+                        acc[i + l] = _mm512_add_epi64(acc[i + l], cnt);
+                    }
+                }
+            }
+            // Σ_t acc_t · 2^t, one shift per significance (Horner).
+            let mut uv = acc[AB + BB - 2];
+            for t in (0..AB + BB - 2).rev() {
+                uv = _mm512_add_epi64(_mm512_slli_epi64::<1>(uv), acc[t]);
+            }
+            let dot = _mm512_sub_epi64(
+                _mm512_add_epi64(uv, a_corr),
+                _mm512_set1_epi64(p.a_offset * p.b_sums[c]),
+            );
+            let mut lanes = [0i64; 8];
+            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), dot);
+            for (r, &v) in lanes.iter().enumerate().take(p.rows) {
+                p.out[r * cols + c] = v;
+            }
+        }
     }
 }
 

@@ -424,13 +424,20 @@ impl PackedSliceMatrix {
     /// against **every** vector of `other`, writing
     /// `out[r * other.num_vecs() + c] = self.dot(rows.start + r, other, c)`.
     ///
-    /// This is the cache-blocked building block of the packed GEMM: `other`
-    /// (the stationary operand) is decomposed into one-bit sub-plane panels
-    /// sized for L1, each row of `self` is decomposed once per panel, and
-    /// the inner kernel then streams zero-padded, SIMD-aligned buffers with
-    /// no per-dot extraction work — on SIMD tiers this amortizes the slice
-    /// split across a whole panel of outputs. Results are bit-identical to
-    /// calling [`PackedSliceMatrix::dot`] per element on every tier.
+    /// This is the building block of the packed GEMM, with one of two
+    /// realizations, chosen by [`crate::kernels::uses_lanes`]:
+    ///
+    /// * **lane micro-kernel** — on a SIMD tier with at least
+    ///   [`crate::kernels::LANE_MIN_COLS`] columns: `other` is prepared once
+    ///   ([`PackedSliceMatrix::prepare_cols`]) and the block runs through
+    ///   [`PackedSliceMatrix::dot_block_lanes_into`];
+    /// * **per dot** — on the scalar tier, the fused per-dot loop; on a
+    ///   SIMD tier below the cut-over (GEMVs), every column's and then each
+    ///   row's sub-planes are extracted once into zero-padded buffers and
+    ///   the per-dot SIMD kernel streams them, one output at a time.
+    ///
+    /// Results are bit-identical to calling [`PackedSliceMatrix::dot`] per
+    /// element on every tier.
     ///
     /// # Panics
     ///
@@ -445,21 +452,13 @@ impl PackedSliceMatrix {
         out: &mut [i64],
     ) {
         self.check_compatible(other);
-        assert!(
-            rows.end <= self.num_vecs,
-            "row range {rows:?} out of range ({} vectors)",
-            self.num_vecs
-        );
-        assert!(
-            tier <= kernels::detected_tier(),
-            "kernel tier {tier} is not available on this CPU"
-        );
         let n = other.num_vecs;
-        assert_eq!(
-            out.len(),
-            rows.len() * n,
-            "output block must hold rows × columns results"
-        );
+        if kernels::uses_lanes(tier, n) {
+            let cols = other.prepare_cols();
+            self.dot_block_lanes_into(tier, rows, &cols, out);
+            return;
+        }
+        self.check_block(tier, &rows, n, out);
         if tier == KernelTier::Scalar {
             // The scalar tier keeps the original per-dot fused loop: same
             // operation count either way, and it keeps the fallback path
@@ -474,7 +473,7 @@ impl PackedSliceMatrix {
         let s = self.slice_width.bits() as usize;
         let (abits, bbits) = (self.planes.len() * s, other.planes.len() * s);
         let wpv = self.words_per_vec;
-        if abits == 0 || bbits == 0 || wpv == 0 || n == 0 || rows.is_empty() {
+        if wpv == 0 || n == 0 || rows.is_empty() {
             out.fill(0);
             return;
         }
@@ -483,49 +482,173 @@ impl PackedSliceMatrix {
             self.signedness == Signedness::Signed,
             other.signedness == Signedness::Signed,
         );
-        let panel = kernels::col_panel_len(bbits, wpad).min(n);
         let col_stride = bbits * wpad;
-        let mut bbuf = vec![0u64; panel * col_stride];
-        let mut abuf = vec![0u64; abits * wpad];
-        let mut c0 = 0usize;
-        while c0 < n {
-            let pc = panel.min(n - c0);
-            for ci in 0..pc {
-                let (b_planes, b_ref) = other.planes_ref(c0 + ci);
-                kernels::extract_subplanes(
-                    &PlanesRef {
-                        planes: &b_planes[..other.planes.len()],
-                        ..b_ref
-                    },
-                    wpad,
-                    &mut bbuf[ci * col_stride..(ci + 1) * col_stride],
-                );
-            }
-            for (ri, row) in rows.clone().enumerate() {
-                let (a_planes, a_ref) = self.planes_ref(row);
-                kernels::extract_subplanes(
-                    &PlanesRef {
-                        planes: &a_planes[..self.planes.len()],
-                        ..a_ref
-                    },
-                    wpad,
-                    &mut abuf,
-                );
-                for ci in 0..pc {
-                    out[ri * n + c0 + ci] = kernels::dot_subplanes(
-                        tier,
-                        &abuf,
-                        &bbuf[ci * col_stride..(ci + 1) * col_stride],
-                        wpad,
-                        abits,
-                        bbits,
-                        neg_a,
-                        neg_b,
-                    );
-                }
-            }
-            c0 += pc;
+        let mut bbuf = vec![0u64; n * col_stride];
+        for (c, buf) in bbuf.chunks_exact_mut(col_stride).enumerate() {
+            let (b_planes, b_ref) = other.planes_ref(c);
+            kernels::extract_subplanes(
+                &PlanesRef {
+                    planes: &b_planes[..other.planes.len()],
+                    ..b_ref
+                },
+                wpad,
+                buf,
+            );
         }
+        let mut abuf = vec![0u64; abits * wpad];
+        for (row, orow) in rows.zip(out.chunks_exact_mut(n)) {
+            let (a_planes, a_ref) = self.planes_ref(row);
+            kernels::extract_subplanes(
+                &PlanesRef {
+                    planes: &a_planes[..self.planes.len()],
+                    ..a_ref
+                },
+                wpad,
+                &mut abuf,
+            );
+            for (o, bsub) in orow.iter_mut().zip(bbuf.chunks_exact(col_stride)) {
+                *o = kernels::dot_subplanes(tier, &abuf, bsub, wpad, abits, bbits, neg_a, neg_b);
+            }
+        }
+    }
+
+    /// Prepares this matrix's vectors as the B columns of a lane-kernel GEMM
+    /// ([`PackedSliceMatrix::dot_block_lanes_into`]): dense one-bit
+    /// sub-planes in broadcast order, the top sub-plane of a signed operand
+    /// flipped, and each column's sum. Built once per GEMM and shared by
+    /// every block of A rows.
+    #[must_use]
+    pub fn prepare_cols(&self) -> PreparedCols {
+        let s = self.slice_width.bits();
+        let bits = self.planes.len() * s as usize;
+        let dense_words = kernels::dense_words(self.len);
+        let signed = self.signedness == Signedness::Signed;
+        let flip = signed.then(|| kernels::dense_tail_mask(self.len, s));
+        let col_words = dense_words * bits;
+        let mut words = vec![0u64; self.num_vecs * col_words];
+        let sums = (0..self.num_vecs)
+            .map(|c| {
+                let (planes, _) = self.planes_ref(c);
+                let col = &mut words[c * col_words..(c + 1) * col_words];
+                kernels::extract_dense(&planes[..self.planes.len()], s, flip, col, 1)
+            })
+            .collect();
+        PreparedCols {
+            sums,
+            words,
+            len: self.len,
+            bits,
+            dense_words,
+            offset: kernels::lane_offset(bits, signed),
+            slice_width: self.slice_width,
+        }
+    }
+
+    /// The block of rows `rows` of `self` against every column of `cols`
+    /// (see [`PackedSliceMatrix::dot_block_into`], which it equals), on the
+    /// lane micro-kernel: each group of `tier.lane_words()` rows is
+    /// extracted into one lane panel of dense sub-planes, every column's
+    /// words are broadcast against it, and each output is corrected for the
+    /// operands' sign offsets once. See [`crate::kernels`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` was prepared from a matrix of another element count
+    /// or slice width, if `rows` is out of range, if `out.len() !=
+    /// rows.len() * cols.num_vecs()`, or if `tier` is the scalar tier or not
+    /// available on this CPU.
+    pub fn dot_block_lanes_into(
+        &self,
+        tier: KernelTier,
+        rows: core::ops::Range<usize>,
+        cols: &PreparedCols,
+        out: &mut [i64],
+    ) {
+        assert_eq!(
+            self.len, cols.len,
+            "packed operands differ in length: {} vs {}",
+            self.len, cols.len
+        );
+        assert_eq!(
+            self.slice_width, cols.slice_width,
+            "packed operands differ in slice width: {} vs {}",
+            self.slice_width, cols.slice_width
+        );
+        assert_ne!(
+            tier,
+            KernelTier::Scalar,
+            "the lane micro-kernel needs a SIMD tier"
+        );
+        let n = cols.num_vecs();
+        self.check_block(tier, &rows, n, out);
+        if self.len == 0 {
+            out.fill(0);
+            return;
+        }
+        let s = self.slice_width.bits();
+        let abits = self.planes.len() * s as usize;
+        let lanes = tier.lane_words();
+        let dw = cols.dense_words;
+        let signed = self.signedness == Signedness::Signed;
+        let flip = signed.then(|| kernels::dense_tail_mask(self.len, s));
+        let a_offset = kernels::lane_offset(abits, signed);
+        let k_offsets = self.len as i64 * a_offset * cols.offset;
+        let mut panel = vec![0u64; dw * abits * lanes];
+        for (first, block) in rows
+            .clone()
+            .step_by(lanes)
+            .zip(out.chunks_mut(lanes * n.max(1)))
+        {
+            let panel_rows = lanes.min(rows.end - first);
+            let mut a_corr = [0i64; 8];
+            for lane in 0..panel_rows {
+                let (planes, _) = self.planes_ref(first + lane);
+                let sum = kernels::extract_dense(
+                    &planes[..self.planes.len()],
+                    s,
+                    flip,
+                    &mut panel[lane..],
+                    lanes,
+                );
+                a_corr[lane] = k_offsets - cols.offset * sum;
+            }
+            // Lanes past the last row keep stale words: their outputs are
+            // computed and dropped.
+            kernels::lane_panel(
+                tier,
+                abits,
+                cols.bits,
+                &mut kernels::LanePanel {
+                    a: &panel,
+                    a_corr,
+                    b: &cols.words,
+                    b_sums: &cols.sums,
+                    a_offset,
+                    dense_words: dw,
+                    rows: panel_rows,
+                    out: block,
+                },
+            );
+        }
+    }
+
+    /// The shared preconditions of a GEMM block: `rows` in range, `out`
+    /// sized `rows × n`, `tier` available.
+    fn check_block(&self, tier: KernelTier, rows: &core::ops::Range<usize>, n: usize, out: &[i64]) {
+        assert!(
+            rows.end <= self.num_vecs,
+            "row range {rows:?} out of range ({} vectors)",
+            self.num_vecs
+        );
+        assert!(
+            tier <= kernels::detected_tier(),
+            "kernel tier {tier} is not available on this CPU"
+        );
+        assert_eq!(
+            out.len(),
+            rows.len() * n,
+            "output block must hold rows × columns results"
+        );
     }
 
     fn check_compatible(&self, other: &PackedSliceMatrix) {
@@ -567,6 +690,33 @@ impl PackedSliceMatrix {
             value += field << (j as u32 * s);
         }
         value as i32
+    }
+}
+
+/// A GEMM's B operand prepared for the lane micro-kernel by
+/// [`PackedSliceMatrix::prepare_cols`]: each column's dense one-bit
+/// sub-planes (64 elements per word, the top sub-plane of a signed
+/// operand flipped over its valid elements) in broadcast order, and each
+/// column's sum over those words.
+#[derive(Debug, Clone)]
+pub struct PreparedCols {
+    /// `[column][dense word][sub-plane]`.
+    words: Vec<u64>,
+    /// Per column: `Σv`, the sum of its offset elements.
+    sums: Vec<i64>,
+    len: usize,
+    bits: usize,
+    dense_words: usize,
+    /// `2^(bits−1)` for a signed operand, 0 for an unsigned one.
+    offset: i64,
+    slice_width: SliceWidth,
+}
+
+impl PreparedCols {
+    /// Number of prepared columns.
+    #[must_use]
+    pub fn num_vecs(&self) -> usize {
+        self.sums.len()
     }
 }
 

@@ -12,6 +12,8 @@ use bpvec_core::{slice_dot_words_with, BitWidth, PackedSliceMatrix, Signedness, 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
+const SIGNS: [Signedness; 2] = [Signedness::Signed, Signedness::Unsigned];
+
 const SLICE_WIDTHS: [SliceWidth; 4] = [
     SliceWidth::BIT1,
     SliceWidth::BIT2,
@@ -151,46 +153,97 @@ fn packed_dot_tiers_agree_on_boundary_lengths() {
 
 #[test]
 fn blocked_gemm_kernel_matches_per_dot_on_every_tier() {
-    // `dot_block_into` (the cache-blocked GEMM building block, panel
-    // extraction hoisted) must equal per-element `dot` on each tier,
-    // including column counts straddling the L1 panel split.
+    // `dot_block_into` must equal the exact dot product per element on
+    // each tier, on both of its realizations: the per-dot kernel (n below
+    // `LANE_MIN_COLS`) and the lane micro-kernel (n at and above it). The
+    // grid covers every operand width pair and signedness pair at every
+    // slicing, with inner lengths around the 64-element dense word and the
+    // s-word source group (a zero length, a single element, lane-fraction
+    // tails) and 9 rows, so the last lane panel is partial on both SIMD
+    // widths.
+    let tiers = available_tiers();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xb10c_7e57);
-    for (m, n, len) in [
-        (1usize, 1usize, 7usize),
-        (3, 17, 100),
-        (5, 40, 33),
-        (2, 2, 0),
-    ] {
-        let a_data: Vec<i32> = (0..m * len).map(|_| rng.gen_range(-128..=127)).collect();
-        let b_data: Vec<i32> = (0..n * len).map(|_| rng.gen_range(-128..=127)).collect();
-        let a = PackedSliceMatrix::pack_rows(
-            &a_data,
-            m,
-            len,
-            BitWidth::INT8,
-            SliceWidth::BIT2,
-            Signedness::Signed,
-        )
-        .unwrap();
-        let b = PackedSliceMatrix::pack_rows(
-            &b_data,
-            n,
-            len,
-            BitWidth::INT8,
-            SliceWidth::BIT2,
-            Signedness::Signed,
-        )
-        .unwrap();
-        for tier in available_tiers() {
-            let mut out = vec![0i64; m * n];
-            a.dot_block_into(tier, 0..m, &b, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    assert_eq!(
-                        out[i * n + j],
-                        a.dot(i, &b, j),
-                        "[{m},{len}]x[{len},{n}] ({i},{j}) tier {tier}"
-                    );
+    let m = 9;
+    for sw in SLICE_WIDTHS {
+        let s = sw.bits() as usize;
+        for len in [0, 1, 63, 64, 65, 64 * s - 1, 64 * s + 1] {
+            for (wa, wb) in (1..=8u32).flat_map(|a| (1..=8u32).map(move |b| (a, b))) {
+                let (ba, bb) = (BitWidth::new(wa).unwrap(), BitWidth::new(wb).unwrap());
+                let signs = SIGNS
+                    .iter()
+                    .flat_map(|&a| SIGNS.iter().map(move |&b| (a, b)));
+                for ((sa, sb), n) in signs.flat_map(|p| [1usize, 7, 8, 9].map(|n| (p, n))) {
+                    let (alo, ahi) = ba.range(sa);
+                    let (blo, bhi) = bb.range(sb);
+                    let a_data: Vec<i32> = (0..m * len).map(|_| rng.gen_range(alo..=ahi)).collect();
+                    let b_data: Vec<i32> = (0..n * len).map(|_| rng.gen_range(blo..=bhi)).collect();
+                    let a = PackedSliceMatrix::pack_rows(&a_data, m, len, ba, sw, sa).unwrap();
+                    let b = PackedSliceMatrix::pack_rows(&b_data, n, len, bb, sw, sb).unwrap();
+                    let exact = |i: usize, j: usize| -> i64 {
+                        let (x, y) = (
+                            &a_data[i * len..(i + 1) * len],
+                            &b_data[j * len..(j + 1) * len],
+                        );
+                        x.iter()
+                            .zip(y)
+                            .map(|(&x, &y)| i64::from(x) * i64::from(y))
+                            .sum()
+                    };
+                    for &tier in &tiers {
+                        let mut out = vec![0i64; m * n];
+                        a.dot_block_into(tier, 0..m, &b, &mut out);
+                        for i in 0..m {
+                            for j in 0..n {
+                                assert_eq!(
+                                    out[i * n + j],
+                                    exact(i, j),
+                                    "{ba}{sa:?} x {bb}{sb:?} {sw} k={len} n={n} ({i},{j}) tier {tier}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_kernel_covers_every_column_count_and_row_range() {
+    // The lane path on its own: every n in {1, 7, 8, 9} (below the GEMM
+    // cut-over too), over row ranges that start mid-matrix and end in a
+    // partial lane panel, INT8 against INT3 at 2-bit slicing.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x1a4e_5c01);
+    let (m, len, sw) = (13, 130, SliceWidth::BIT2);
+    let (ba, bb) = (BitWidth::INT8, BitWidth::new(3).unwrap());
+    for tier in available_tiers()
+        .into_iter()
+        .filter(|&t| t != KernelTier::Scalar)
+    {
+        for n in [1usize, 7, 8, 9] {
+            for (sa, sb) in SIGNS
+                .iter()
+                .flat_map(|&a| SIGNS.iter().map(move |&b| (a, b)))
+            {
+                let (alo, ahi) = ba.range(sa);
+                let (blo, bhi) = bb.range(sb);
+                let a_data: Vec<i32> = (0..m * len).map(|_| rng.gen_range(alo..=ahi)).collect();
+                let b_data: Vec<i32> = (0..n * len).map(|_| rng.gen_range(blo..=bhi)).collect();
+                let a = PackedSliceMatrix::pack_rows(&a_data, m, len, ba, sw, sa).unwrap();
+                let b = PackedSliceMatrix::pack_rows(&b_data, n, len, bb, sw, sb).unwrap();
+                let cols = b.prepare_cols();
+                for rows in [0..m, 3..12, 5..5] {
+                    let mut out = vec![0i64; rows.len() * n];
+                    a.dot_block_lanes_into(tier, rows.clone(), &cols, &mut out);
+                    for (r, i) in rows.clone().enumerate() {
+                        for j in 0..n {
+                            assert_eq!(
+                                out[r * n + j],
+                                a.dot_with(KernelTier::Scalar, i, &b, j),
+                                "{sa:?} x {sb:?} rows {rows:?} n={n} ({i},{j}) tier {tier}"
+                            );
+                        }
+                    }
                 }
             }
         }

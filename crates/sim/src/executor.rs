@@ -35,7 +35,7 @@ use bpvec_dnn::packing::{pack_gemm_cols, pack_gemm_rows};
 use bpvec_dnn::reference;
 use bpvec_dnn::Tensor;
 
-use crate::systolic::{packed_tile_geometry, SystolicArray};
+use crate::systolic::{packed_tile_geometry, GemmPath, SystolicArray};
 
 /// Deterministic synthetic quantized weights for a layer stack, kept
 /// bit-sliced the way the accelerator keeps its static operands.
@@ -182,24 +182,44 @@ impl WeightStore {
     }
 }
 
-/// Aggregate blocked-GEMM tiling work of one layer — how the packed GEMMs
-/// were cut across threads (macro row-tiles) and L1 (column panels). Zero
-/// for layers that run no array GEMM (pooling, softmax, norms).
+/// Aggregate packed-GEMM schedule of one layer: the tiles its GEMMs walked
+/// on each kernel path ([`GemmPath`]). Zero for layers that run no array
+/// GEMM (pooling, softmax, norms).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileTally {
-    /// Macro row-tiles fanned out across all the layer's packed GEMMs.
-    pub macro_tiles: u64,
-    /// L1 column-panel streams summed over all the layer's packed GEMMs
-    /// (each macro-tile streams every panel once).
-    pub col_panels: u64,
+    /// Macro row-tiles of the layer's GEMMs on the lane path.
+    pub lane_macro_tiles: u64,
+    /// Lane panels those macro-tiles walked.
+    pub lane_panels: u64,
+    /// Macro row-tiles of the layer's GEMMs on the per-dot path.
+    pub per_dot_macro_tiles: u64,
 }
 
 impl TileTally {
-    /// Tallies the tiling geometry of one `gemm_packed(a, b)` call.
+    /// Tallies the schedule of one `gemm_packed(a, b)` call.
     fn add(&mut self, a: &PackedSliceMatrix, b: &PackedSliceMatrix) {
         let g = packed_tile_geometry(a, b);
-        self.macro_tiles += g.macro_row_tiles;
-        self.col_panels += g.macro_row_tiles * g.col_panels;
+        match g.path {
+            GemmPath::Lanes => {
+                self.lane_macro_tiles += g.macro_row_tiles;
+                self.lane_panels += g.lane_panels;
+            }
+            GemmPath::PerDot => self.per_dot_macro_tiles += g.macro_row_tiles,
+        }
+    }
+
+    /// Macro row-tiles on either path.
+    #[must_use]
+    pub fn macro_tiles(&self) -> u64 {
+        self.lane_macro_tiles + self.per_dot_macro_tiles
+    }
+}
+
+impl std::ops::AddAssign for TileTally {
+    fn add_assign(&mut self, other: Self) {
+        self.lane_macro_tiles += other.lane_macro_tiles;
+        self.lane_panels += other.lane_panels;
+        self.per_dot_macro_tiles += other.per_dot_macro_tiles;
     }
 }
 
@@ -224,7 +244,7 @@ pub struct LayerTrace {
     /// ([`bpvec_core::kernels::active_tier`]), `"none"` for layers with no
     /// array work.
     pub kernel: &'static str,
-    /// Blocked-GEMM tiling work of the layer.
+    /// The layer's packed-GEMM schedule.
     pub tiles: TileTally,
 }
 
@@ -263,30 +283,29 @@ impl ExecutionTrace {
     /// `exec.layer_macs` log-histogram (base 1, so bin `i` covers
     /// `[2^i, 2^(i+1))` MACs).
     ///
-    /// Kernel-dispatch and tile-geometry work lands under `exec.kernel.*`:
+    /// Kernel-dispatch and schedule work lands under `exec.kernel.*`:
     /// `exec.kernel.dispatch.<tier>` counts GEMM layers executed on each
     /// dispatched tier (`scalar`/`avx2`/`avx512`, so traces show which
-    /// kernel actually ran), `exec.kernel.macro_tiles` /
-    /// `exec.kernel.col_panels` accumulate the blocked driver's thread- and
-    /// L1-level tile counts, and the `exec.kernel.lane_words` gauge holds
+    /// kernel actually ran); `exec.kernel.lanes.{macro_tiles,panels}` and
+    /// `exec.kernel.per_dot.macro_tiles` accumulate each kernel path's tile
+    /// counts ([`TileTally`]); and the `exec.kernel.lane_words` gauge holds
     /// the active tier's SIMD width in `u64` words.
     pub fn record_metrics(&self, registry: &bpvec_obs::MetricsRegistry) {
         registry.counter_add("exec.layers", self.layers.len() as u64);
         registry.counter_add("exec.macs", self.total_macs());
         registry.counter_add("exec.cycles", self.total_cycles());
         registry.register_histogram("exec.layer_macs", 1.0, 48);
-        let mut macro_tiles = 0u64;
-        let mut col_panels = 0u64;
+        let mut total = TileTally::default();
         for layer in &self.layers {
             registry.observe("exec.layer_macs", layer.macs as f64);
             if layer.kernel != "none" {
                 registry.counter_add(&format!("exec.kernel.dispatch.{}", layer.kernel), 1);
             }
-            macro_tiles += layer.tiles.macro_tiles;
-            col_panels += layer.tiles.col_panels;
+            total += layer.tiles;
         }
-        registry.counter_add("exec.kernel.macro_tiles", macro_tiles);
-        registry.counter_add("exec.kernel.col_panels", col_panels);
+        registry.counter_add("exec.kernel.lanes.macro_tiles", total.lane_macro_tiles);
+        registry.counter_add("exec.kernel.lanes.panels", total.lane_panels);
+        registry.counter_add("exec.kernel.per_dot.macro_tiles", total.per_dot_macro_tiles);
         registry.gauge_set(
             "exec.kernel.lane_words",
             kernels::active_tier().lane_words() as f64,
@@ -521,16 +540,23 @@ impl NetworkExecutor {
                     let mut cycles = 0u64;
                     let mut macs = 0u64;
                     let mut tiles = TileTally::default();
+                    // Head h's Q and K are the contiguous [head_dim, q_len]
+                    // row blocks h of Q and K: A = Q_h^T packs Q_h's columns,
+                    // B = K_h packs K_h's columns.
+                    let block = head_dim * q_len;
                     for h in 0..heads {
-                        let (a, bm) = qk_head(&qm, &km, h, head_dim);
-                        let pa = pack_gemm_rows(
-                            &a,
+                        let pa = PackedSliceMatrix::pack_cols(
+                            &qm.as_slice()[h * block..(h + 1) * block],
+                            head_dim,
+                            q_len,
                             layer.act_bits,
                             self.slice_width(),
                             Signedness::Signed,
                         )?;
-                        let pb = pack_gemm_cols(
-                            &bm,
+                        let pb = PackedSliceMatrix::pack_cols(
+                            &km.as_slice()[h * block..(h + 1) * block],
+                            head_dim,
+                            kv_len,
                             layer.weight_bits,
                             self.slice_width(),
                             Signedness::Signed,
@@ -578,16 +604,23 @@ impl NetworkExecutor {
                     let mut cycles = 0u64;
                     let mut macs = 0u64;
                     let mut tiles = TileTally::default();
+                    // Head h's P and V are contiguous row blocks: A = P_h is
+                    // [q_len, kv_len] rows, and B = V_h^T packs V_h's
+                    // [head_dim, kv_len] rows.
+                    let (p_block, v_block) = (q_len * kv_len, head_dim * kv_len);
                     for h in 0..heads {
-                        let (a, bm) = av_head(&act, &v, h, head_dim, q_len);
-                        let pa = pack_gemm_rows(
-                            &a,
+                        let pa = PackedSliceMatrix::pack_rows(
+                            &act.as_slice()[h * p_block..(h + 1) * p_block],
+                            q_len,
+                            kv_len,
                             layer.act_bits,
                             self.slice_width(),
                             Signedness::Unsigned,
                         )?;
-                        let pb = pack_gemm_cols(
-                            &bm,
+                        let pb = PackedSliceMatrix::pack_rows(
+                            &v.as_slice()[h * v_block..(h + 1) * v_block],
+                            head_dim,
+                            kv_len,
                             layer.weight_bits,
                             self.slice_width(),
                             Signedness::Signed,
@@ -654,7 +687,7 @@ impl NetworkExecutor {
                 macs: layer.macs(),
                 array_macs,
                 requant_shift: shift,
-                kernel: if tiles.macro_tiles > 0 {
+                kernel: if tiles.macro_tiles() > 0 {
                     kernels::active_tier().name()
                 } else {
                     "none"
@@ -1013,6 +1046,66 @@ mod tests {
     }
 
     #[test]
+    fn network_gemms_take_the_lane_path_and_gemvs_the_per_dot_path() {
+        // Every packed GEMM `execute` issues for AlexNet's convolutions and
+        // the BERT block's projections and attention heads has at least
+        // LANE_MIN_COLS columns, so it runs on the lane micro-kernel
+        // wherever the tier has SIMD lanes; the fully connected GEMVs
+        // (n = 1) stay per dot. The schedule depends on the row and column
+        // counts and the tier, not the inner length, so the operands pack
+        // with k = 1.
+        use bpvec_dnn::{transformer_block, BitwidthPolicy, Network, NetworkId};
+        let tier = kernels::active_tier();
+        let sw = CvuConfig::paper_default().slice_width;
+        let mut layers = Network::build(NetworkId::AlexNet, BitwidthPolicy::Heterogeneous).layers;
+        transformer_block(&mut layers, "block0", 768, 12, 128, 128);
+        let mut seen = [0usize; 2];
+        for layer in &layers {
+            let (m, n) = match layer.kind {
+                LayerKind::Conv2d { out_channels, .. } => {
+                    let (oh, ow) = layer.output_hw().expect("a convolution has an output size");
+                    (out_channels, oh * ow)
+                }
+                LayerKind::FullyConnected { out_features, .. } => (out_features, 1),
+                LayerKind::MatMulQK { q_len, kv_len, .. } => (q_len, kv_len),
+                LayerKind::AttentionV {
+                    q_len, head_dim, ..
+                } => (q_len, head_dim),
+                _ => continue,
+            };
+            let pack = |vecs: usize| {
+                PackedSliceMatrix::pack_rows(
+                    &vec![0; vecs],
+                    vecs,
+                    1,
+                    BitWidth::INT8,
+                    sw,
+                    Signedness::Signed,
+                )
+                .unwrap()
+            };
+            let geo = packed_tile_geometry(&pack(m), &pack(n));
+            let gemv = n == 1;
+            let want = if gemv || tier == bpvec_core::KernelTier::Scalar {
+                GemmPath::PerDot
+            } else {
+                GemmPath::Lanes
+            };
+            assert_eq!(geo.path, want, "{} ({m} x {n}) on {tier}", layer.name);
+            assert_eq!(geo.macro_row_tiles, m.div_ceil(geo.row_block) as u64);
+            if want == GemmPath::Lanes {
+                assert_eq!(geo.lane_panels, m.div_ceil(tier.lane_words()) as u64);
+            } else {
+                assert_eq!(geo.lane_panels, 0);
+            }
+            seen[usize::from(gemv)] += 1;
+        }
+        // AlexNet's five convolutions, the block's four projections and two
+        // attention GEMMs; AlexNet's three fully connected layers.
+        assert_eq!(seen, [11, 3]);
+    }
+
+    #[test]
     fn execution_trace_records_packed_kernel_work_into_registry() {
         let layers = vec![conv("c1", 3, 8, 3, 1, 1, 8)];
         let ws = WeightStore::synthesize(&layers, 11);
@@ -1033,23 +1126,34 @@ mod tests {
             .expect("layer-MAC histogram registered");
         assert_eq!(hist.total(), trace.layers.len() as u64);
         // The conv layer ran exactly one packed GEMM on the dispatched
-        // tier; its tile counts land under exec.kernel.*.
+        // tier — on the lane path wherever the tier has SIMD lanes (its 64
+        // patch columns are past the GEMV cut-over) — and its tile counts
+        // land under exec.kernel.*.
         let tier = bpvec_core::kernels::active_tier();
         assert_eq!(trace.layers[0].kernel, tier.name());
         assert_eq!(
             registry.counter(&format!("exec.kernel.dispatch.{tier}")),
             Some(1)
         );
-        assert_eq!(
-            registry.counter("exec.kernel.macro_tiles"),
-            Some(trace.layers[0].tiles.macro_tiles)
-        );
-        assert_eq!(
-            registry.counter("exec.kernel.col_panels"),
-            Some(trace.layers[0].tiles.col_panels)
-        );
-        assert!(trace.layers[0].tiles.macro_tiles > 0);
-        assert!(trace.layers[0].tiles.col_panels >= trace.layers[0].tiles.macro_tiles);
+        let t = trace.layers[0].tiles;
+        if tier == bpvec_core::KernelTier::Scalar {
+            assert_eq!((t.lane_macro_tiles, t.lane_panels), (0, 0));
+            assert!(t.per_dot_macro_tiles > 0);
+        } else {
+            assert_eq!(t.per_dot_macro_tiles, 0);
+            assert!(t.lane_panels >= t.lane_macro_tiles && t.lane_macro_tiles > 0);
+        }
+        for (name, value) in [
+            ("lanes.macro_tiles", t.lane_macro_tiles),
+            ("lanes.panels", t.lane_panels),
+            ("per_dot.macro_tiles", t.per_dot_macro_tiles),
+        ] {
+            assert_eq!(
+                registry.counter(&format!("exec.kernel.{name}")),
+                Some(value),
+                "{name}"
+            );
+        }
         assert_eq!(
             registry.gauge("exec.kernel.lane_words"),
             Some(tier.lane_words() as f64)

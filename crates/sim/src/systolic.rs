@@ -12,9 +12,10 @@
 //!   one. Exact, slow, kept as the ground truth the fast path is pinned to.
 //! * [`SystolicArray::gemm_packed`] — the execution path: operands arrive
 //!   pre-decomposed as [`PackedSliceMatrix`] bit planes (weights once at
-//!   load, activations once per layer, by the caller), and each output
-//!   tile streams whole planes through the word-level popcount/SWAR
-//!   kernels. Identical outputs, identical cycle accounting, orders of
+//!   load, activations once per layer, by the caller), and each block of
+//!   output rows streams whole planes through the word-level popcount
+//!   kernels — the lane micro-kernel for GEMMs, the per-dot kernel for
+//!   GEMVs. Identical outputs, identical cycle accounting, orders of
 //!   magnitude faster — fast enough to run full Table I networks bit-true.
 
 use bpvec_core::{kernels, BitWidth, CoreError, Cvu, CvuConfig, PackedSliceMatrix, Signedness};
@@ -22,40 +23,64 @@ use bpvec_dnn::Tensor;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Rows of `A` per rayon macro-tile in the blocked packed GEMM driver —
-/// the outermost (thread-level) tier of the tiling hierarchy. Big enough
-/// that each task amortizes its stationary-operand panel extraction, small
-/// enough that row-heavy GEMMs still fan out.
+/// Rows of `A` per rayon macro-tile in [`SystolicArray::gemm_packed`] — the
+/// outermost (thread-level) tier of the schedule. Small enough that
+/// row-heavy GEMMs still fan out across threads, large enough that each
+/// task amortizes its per-task set-up.
 pub const MACRO_ROW_BLOCK: usize = 32;
 
-/// The tiling geometry the blocked packed GEMM driver uses for one operand
-/// pair — reported so execution traces can show how a layer was blocked.
+/// Which schedule [`SystolicArray::gemm_packed`] runs for an operand pair
+/// (see [`bpvec_core::kernels::uses_lanes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GemmPath {
+    /// The lane micro-kernel: `B` prepared once per GEMM, each macro-tile's
+    /// `A` rows extracted into lane panels of one SIMD vector of rows.
+    Lanes,
+    /// The per-dot kernel, one output at a time: GEMVs (fewer than
+    /// [`bpvec_core::kernels::LANE_MIN_COLS`] columns) on a SIMD tier, and
+    /// every shape on the scalar tier.
+    PerDot,
+}
+
+/// The schedule [`SystolicArray::gemm_packed`] runs for one operand pair —
+/// reported so execution traces can show how a layer was blocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PackedTileGeometry {
+    /// The kernel path the GEMM takes.
+    pub path: GemmPath,
     /// Rows of `A` per rayon macro-tile ([`MACRO_ROW_BLOCK`], clamped).
     pub row_block: usize,
     /// Macro-tiles the GEMM fans out over threads.
     pub macro_row_tiles: u64,
-    /// Columns of `B` per L1-resident sub-plane panel.
-    pub col_panel: usize,
-    /// Panels each macro-tile streams through L1.
-    pub col_panels: u64,
+    /// Lane panels the macro-tiles walk (each one SIMD vector of `A`
+    /// rows against every column); 0 on the per-dot path.
+    pub lane_panels: u64,
 }
 
-/// Computes the tiling geometry [`SystolicArray::gemm_packed`] will use for
-/// `a · b` — the macro-row fan-out and the L1 column-panel split.
+/// Computes the schedule [`SystolicArray::gemm_packed`] runs for `a · b`
+/// on the active kernel tier: the path, the macro-row fan-out and, on the
+/// lane path, the lane panels.
 #[must_use]
 pub fn packed_tile_geometry(a: &PackedSliceMatrix, b: &PackedSliceMatrix) -> PackedTileGeometry {
-    let (m, n) = (a.num_vecs(), b.num_vecs());
+    let tier = kernels::active_tier();
+    let m = a.num_vecs();
     let row_block = MACRO_ROW_BLOCK.min(m.max(1));
-    let bbits = b.n_slices() * b.slice_width().bits() as usize;
-    let wpad = kernels::pad_words(a.words_per_vec());
-    let col_panel = kernels::col_panel_len(bbits, wpad).min(n.max(1));
+    let macro_row_tiles = m.div_ceil(row_block) as u64;
+    let (path, lane_panels) = if kernels::uses_lanes(tier, b.num_vecs()) {
+        let lanes = tier.lane_words();
+        let full = (m / row_block) * row_block.div_ceil(lanes);
+        (
+            GemmPath::Lanes,
+            (full + (m % row_block).div_ceil(lanes)) as u64,
+        )
+    } else {
+        (GemmPath::PerDot, 0)
+    };
     PackedTileGeometry {
+        path,
         row_block,
-        macro_row_tiles: m.div_ceil(row_block) as u64,
-        col_panel,
-        col_panels: n.div_ceil(col_panel) as u64,
+        macro_row_tiles,
+        lane_panels,
     }
 }
 
@@ -211,20 +236,28 @@ impl SystolicArray {
     /// [`SystolicArray::gemm`]: rows of `A` to CVU rows, columns of `B` to
     /// CVU columns, `ceil(k / (clusters·L))` beats per tile pass plus
     /// `rows + cols` systolic skew. The *compute* is driven by a
-    /// multi-level blocked schedule, decoupled from the modeled array tile
-    /// walk (the cycle model above is analytical, so the host-side schedule
-    /// is free to chase cache locality):
+    /// schedule decoupled from the modeled array tile walk (the cycle model
+    /// above is analytical, so the host-side schedule is free to chase
+    /// cache locality):
     ///
-    /// * **register tier** — the dispatched sub-plane kernel
+    /// * **register tier** — the dispatched kernel
     ///   ([`bpvec_core::kernels::active_tier`]: AVX-512 `vpopcntq`, AVX2
-    ///   vpshufb-popcount, or scalar SWAR) streams packed words in
-    ///   SIMD-width chunks, weights held in-register;
-    /// * **L1 tier** — `B` is decomposed into one-bit sub-plane panels of
-    ///   [`packed_tile_geometry`]`().col_panel` columns that stay L1-resident
-    ///   while every row of the macro-tile streams against them
+    ///   vpshufb-popcount, or scalar SWAR). On a SIMD tier with at least
+    ///   [`bpvec_core::kernels::LANE_MIN_COLS`] columns it is the lane
+    ///   micro-kernel: one SIMD vector of `A` rows across the lanes, each
+    ///   `B` column's dense sub-plane words broadcast against them, one
+    ///   accumulator per significance held in registers and shifted once
+    ///   per output ([`PackedSliceMatrix::dot_block_lanes_into`]). GEMVs and
+    ///   the scalar tier run one dot at a time
     ///   ([`PackedSliceMatrix::dot_block_into`]);
+    /// * **operand tier** — on the lane path, `B` is prepared once per call
+    ///   ([`PackedSliceMatrix::prepare_cols`]) and shared by every
+    ///   macro-tile, and each macro-tile extracts its own `A` rows into lane
+    ///   panels;
     /// * **thread tier** — row macro-tiles of [`MACRO_ROW_BLOCK`] rows fan
     ///   out rayon-parallel.
+    ///
+    /// [`packed_tile_geometry`] reports which path a call takes.
     ///
     /// Every output scalar is Equation 4 through the word-level slice
     /// kernels, bit-identical to the per-element path on every dispatch
@@ -286,11 +319,11 @@ impl SystolicArray {
                 macs: 0,
             });
         }
-        // The blocked driver: macro-tiles of A rows fan out rayon-parallel,
-        // each streaming B's L1-resident sub-plane panels through the
-        // dispatched kernel (see the tiling tiers in the doc above).
+        // Macro-tiles of A rows fan out rayon-parallel; on the lane path
+        // they share B, prepared once (see the tiers in the doc above).
         let tier = kernels::active_tier();
         let geo = packed_tile_geometry(a, b);
+        let cols = (geo.path == GemmPath::Lanes).then(|| b.prepare_cols());
         let blocks: Vec<(usize, usize)> = (0..geo.macro_row_tiles as usize)
             .map(|t| (t * geo.row_block, ((t + 1) * geo.row_block).min(m)))
             .collect();
@@ -298,7 +331,10 @@ impl SystolicArray {
             .par_iter()
             .map(|&(lo, hi)| {
                 let mut block = vec![0i64; (hi - lo) * n];
-                a.dot_block_into(tier, lo..hi, b, &mut block);
+                match &cols {
+                    Some(cols) => a.dot_block_lanes_into(tier, lo..hi, cols, &mut block),
+                    None => a.dot_block_into(tier, lo..hi, b, &mut block),
+                }
                 block
             })
             .collect();
@@ -430,34 +466,40 @@ mod tests {
         // The attention score kernel QK^T, exhaustively: every operand
         // BitWidth (1..=8) × Signedness combination on both sides, each
         // output scalar checked against the exact dot product of the raw
-        // operand vectors.
+        // operand vectors — on a GEMV-narrow shape (per-dot path) and on a
+        // shape past the lane cut-over whose rows end in a partial lane
+        // panel and whose head_dim ends mid dense word.
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let arr = small_array();
         let sw = arr.config().cvu.slice_width;
-        let (q_len, head_dim, kv_len) = (5, 24, 6);
-        for wq in 1..=8u32 {
-            for wk in 1..=8u32 {
-                for sq in [Signedness::Signed, Signedness::Unsigned] {
-                    for sk in [Signedness::Signed, Signedness::Unsigned] {
-                        let bq = BitWidth::new(wq).unwrap();
-                        let bk = BitWidth::new(wk).unwrap();
-                        let (qlo, qhi) = bq.range(sq);
-                        let (klo, khi) = bk.range(sk);
-                        let q = random_matrix(&mut rng, q_len, head_dim, qlo, qhi);
-                        let kt = random_matrix(&mut rng, head_dim, kv_len, klo, khi);
-                        let pq = q.pack_rows(bq, sw, sq).unwrap();
-                        let pk = kt.pack_cols(bk, sw, sk).unwrap();
-                        let run = arr.gemm_packed(&pq, &pk).unwrap();
-                        for i in 0..q_len {
-                            for j in 0..kv_len {
-                                let qrow: Vec<i32> = (0..head_dim).map(|t| q[&[i, t]]).collect();
-                                let kcol: Vec<i32> = (0..head_dim).map(|t| kt[&[t, j]]).collect();
-                                let want = dot_exact(&qrow, &kcol).unwrap();
-                                assert_eq!(
-                                    i64::from(run.output[&[i, j]]),
-                                    want,
-                                    "Q {wq}b {sq:?} × K {wk}b {sk:?} at ({i},{j})"
-                                );
+        for (q_len, head_dim, kv_len) in [(5, 24, 6), (13, 70, 9)] {
+            for wq in 1..=8u32 {
+                for wk in 1..=8u32 {
+                    for sq in [Signedness::Signed, Signedness::Unsigned] {
+                        for sk in [Signedness::Signed, Signedness::Unsigned] {
+                            let bq = BitWidth::new(wq).unwrap();
+                            let bk = BitWidth::new(wk).unwrap();
+                            let (qlo, qhi) = bq.range(sq);
+                            let (klo, khi) = bk.range(sk);
+                            let q = random_matrix(&mut rng, q_len, head_dim, qlo, qhi);
+                            let kt = random_matrix(&mut rng, head_dim, kv_len, klo, khi);
+                            let pq = q.pack_rows(bq, sw, sq).unwrap();
+                            let pk = kt.pack_cols(bk, sw, sk).unwrap();
+                            let run = arr.gemm_packed(&pq, &pk).unwrap();
+                            for i in 0..q_len {
+                                for j in 0..kv_len {
+                                    let qrow: Vec<i32> =
+                                        (0..head_dim).map(|t| q[&[i, t]]).collect();
+                                    let kcol: Vec<i32> =
+                                        (0..head_dim).map(|t| kt[&[t, j]]).collect();
+                                    let want = dot_exact(&qrow, &kcol).unwrap();
+                                    assert_eq!(
+                                        i64::from(run.output[&[i, j]]),
+                                        want,
+                                        "[{q_len},{head_dim}]x[{head_dim},{kv_len}] \
+                                         Q {wq}b {sq:?} × K {wk}b {sk:?} at ({i},{j})"
+                                    );
+                                }
                             }
                         }
                     }

@@ -13,6 +13,7 @@
 //! semantics the workspace relies on (uniform-cost parallel maps over
 //! experiment grids) and nothing more.
 
+use std::sync::OnceLock;
 use std::thread;
 
 /// The traits users import; mirrors `rayon::prelude::*`.
@@ -106,14 +107,19 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
+/// Worker threads a parallel map may use: `available_parallelism`, read
+/// once per process (it parses cgroup limits on every call), the way real
+/// rayon fixes its pool size when the pool starts.
+fn max_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, |c| c.get()))
+}
+
 /// Order-preserving parallel map: contiguous chunks, one scoped thread per
-/// chunk, at most `available_parallelism` threads.
+/// chunk, at most [`max_threads`] threads.
 fn par_map<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
     let n = items.len();
-    let threads = thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-        .min(n.max(1));
+    let threads = max_threads().min(n.max(1));
     if threads <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
