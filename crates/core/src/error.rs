@@ -57,6 +57,23 @@ pub enum CoreError {
         /// The slicing of the array's CVUs.
         array: SliceWidth,
     },
+    /// A layer was given an input of another shape than the one it
+    /// declares: the layer stack does not chain.
+    LayerShapeMismatch {
+        /// The layer's name.
+        layer: String,
+        /// The input shape the layer declares.
+        expected: Vec<usize>,
+        /// The shape of the input it was given.
+        found: Vec<usize>,
+    },
+    /// A layer the bit-true executor does not run.
+    UnsupportedLayer {
+        /// The layer's name.
+        layer: String,
+        /// Why it cannot run.
+        reason: &'static str,
+    },
     /// A width string (`"int4"`, `"2b"`, …) could not be parsed.
     ParseWidth {
         /// What was being parsed ("bitwidth" or "slice width").
@@ -109,6 +126,17 @@ impl fmt::Display for CoreError {
                 packed.bits(),
                 array.bits()
             ),
+            CoreError::LayerShapeMismatch {
+                layer,
+                expected,
+                found,
+            } => write!(
+                f,
+                "layer {layer} expects an input of shape {expected:?} but was given {found:?}"
+            ),
+            CoreError::UnsupportedLayer { layer, reason } => {
+                write!(f, "layer {layer} cannot run bit-true: {reason}")
+            }
             CoreError::ParseWidth { what, input } => {
                 write!(f, "cannot parse `{input}` as a {what}")
             }
@@ -144,6 +172,15 @@ mod tests {
             CoreError::SliceWidthMismatch {
                 packed: SliceWidth::BIT2,
                 array: SliceWidth::BIT4,
+            },
+            CoreError::LayerShapeMismatch {
+                layer: "conv2".into(),
+                expected: vec![64, 27, 27],
+                found: vec![128, 27, 27],
+            },
+            CoreError::UnsupportedLayer {
+                layer: "qk".into(),
+                reason: "decode-shaped attention needs a KV cache",
             },
         ];
         for e in errs {

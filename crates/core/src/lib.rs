@@ -84,5 +84,5 @@ pub use cvu::{Cvu, CvuConfig, DotProductOutput};
 pub use error::CoreError;
 pub use kernels::KernelTier;
 pub use nbve::{slice_dot_words, slice_dot_words_with, AdderTreeReport, Nbve, NbveOutput};
-pub use packed::{PackedSliceMatrix, PreparedCols};
+pub use packed::{par_grain, GatherRow, PackedSliceMatrix, PreparedCols, PAR_MIN_ELEMS};
 pub use stats::ExecutionStats;

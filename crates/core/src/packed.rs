@@ -21,6 +21,7 @@
 //! in `tests/packed_properties.rs` pin this for every width × slicing ×
 //! signedness combination.
 
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::bitslice::{BitWidth, Signedness, SliceWidth};
@@ -145,6 +146,119 @@ impl PackedSliceMatrix {
         Ok(m)
     }
 
+    /// Packs `num_vecs` vectors of `len` elements gathered from `src`:
+    /// `gather(v, row)` writes vector `v` as a sequence of runs of `src`
+    /// elements and of zeros ([`GatherRow`]). This is the activation side
+    /// of a convolution, each output position's patch gathered from the
+    /// input with no im2col matrix in between.
+    ///
+    /// `src` is narrowed to two's-complement bytes once, under one range
+    /// check, so a run copies bytes straight into the packer's row. Vectors
+    /// pack in blocks ([`par_grain`]), the blocks in parallel through rayon;
+    /// a matrix smaller than [`PAR_MIN_ELEMS`] packs on the calling thread.
+    /// The result does not depend on the split.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ValueOutOfRange`] on the first element, in
+    /// vector order, that does not fit the declared `width`/`signedness`.
+    /// A `src` element no vector reads is never checked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gather` writes other than `len` elements to a vector, or
+    /// a run reaches past the end of `src`.
+    pub fn pack_gathered<F>(
+        src: &[i32],
+        num_vecs: usize,
+        len: usize,
+        width: BitWidth,
+        slice_width: SliceWidth,
+        signedness: Signedness,
+        gather: F,
+    ) -> Result<Self, CoreError>
+    where
+        F: Fn(usize, &mut GatherRow) + Sync,
+    {
+        let m = Self::zeroed(num_vecs, len, width, slice_width, signedness);
+        let (lo, hi) = width.range(signedness);
+        let span = hi.wrapping_sub(lo) as u32;
+        let mut fits = true;
+        let narrow: Vec<u8> = src
+            .iter()
+            .map(|&x| {
+                fits &= x.wrapping_sub(lo) as u32 <= span;
+                x as u8
+            })
+            .collect();
+        if !fits {
+            // Walk the vectors in order, checking every element they read.
+            let mut row = GatherRow {
+                src: Source::Check {
+                    values: src,
+                    width,
+                    signedness,
+                    error: None,
+                },
+                bytes: &mut [],
+                at: 0,
+            };
+            for v in 0..num_vecs {
+                row.gathered(v, len, &gather);
+                if let Source::Check { error: Some(e), .. } = row.src {
+                    return Err(e);
+                }
+            }
+        }
+        let block = par_grain(num_vecs, len);
+        Ok(m.gather_blocks(&narrow, block, &gather))
+    }
+
+    /// Fills a zeroed matrix from the narrowed source `src` in blocks of
+    /// `block` vectors, in parallel (see [`Self::pack_gathered`]).
+    fn gather_blocks<F>(mut self, src: &[u8], block: usize, gather: &F) -> Self
+    where
+        F: Fn(usize, &mut GatherRow) + Sync,
+    {
+        let (num_vecs, len, wpv) = (self.num_vecs, self.len, self.words_per_vec);
+        if num_vecs == 0 || wpv == 0 {
+            return self;
+        }
+        let block = block.clamp(1, num_vecs);
+        let mut blocks: Vec<Vec<&mut [u64]>> = (0..num_vecs.div_ceil(block))
+            .map(|_| Vec::with_capacity(self.planes.len()))
+            .collect();
+        for plane in &mut self.planes {
+            for (b, words) in blocks.iter_mut().zip(plane.chunks_mut(block * wpv)) {
+                b.push(words);
+            }
+        }
+        // Each block's row bytes, allocated here so workers allocate
+        // nothing.
+        let slice_width = self.slice_width;
+        let row_bytes = wpv * fields_per_word(slice_width);
+        let mut rows = vec![0u8; blocks.len() * (row_bytes + WIDE_COPY)];
+        let mut tasks: Vec<_> = blocks
+            .into_iter()
+            .zip(rows.chunks_mut(row_bytes + WIDE_COPY))
+            .collect();
+        tasks.par_chunks_mut(1).enumerate().for_each(|(bi, task)| {
+            let (planes, bytes) = &mut task[0];
+            let mut row = GatherRow {
+                src: Source::Bytes(src),
+                bytes,
+                at: 0,
+            };
+            for (i, v) in (bi * block..num_vecs.min((bi + 1) * block)).enumerate() {
+                row.gathered(v, len, gather);
+                row.bytes[len..].fill(0);
+                let words = planes.iter_mut().map(|p| &mut p[i * wpv..(i + 1) * wpv]);
+                pack_planes(&row.bytes[..row_bytes], slice_width, words);
+            }
+        });
+        self
+    }
+
     /// Packs a single vector (a `1 × len` matrix).
     ///
     /// # Errors
@@ -199,8 +313,8 @@ impl PackedSliceMatrix {
     /// Step 1 narrows the row to each element's two's-complement byte
     /// under one branch-free range check; only a row that fails it is
     /// scanned again, so the error names the first offending element.
-    /// Step 2 builds every word of every plane from 8-byte groups
-    /// ([`gather_fields`]).
+    /// Step 2 builds every word of every plane from those bytes
+    /// ([`pack_planes`]).
     fn pack_row(&mut self, v: usize, row: &[i32], bytes: &mut [u8]) -> Result<(), CoreError> {
         debug_assert_eq!(row.len(), self.len);
         let (lo, hi) = self.width.range(self.signedness);
@@ -216,17 +330,11 @@ impl PackedSliceMatrix {
             }
         }
         let wpv = self.words_per_vec;
-        let s = self.slice_width.bits();
-        for (j, plane) in self.planes.iter_mut().enumerate() {
-            let words = &mut plane[v * wpv..(v + 1) * wpv];
-            let shift = j as u32 * s;
-            match s {
-                1 => pack_plane::<1>(bytes, shift, words),
-                2 => pack_plane::<2>(bytes, shift, words),
-                4 => pack_plane::<4>(bytes, shift, words),
-                _ => pack_plane::<8>(bytes, shift, words),
-            }
-        }
+        let words = self
+            .planes
+            .iter_mut()
+            .map(|plane| &mut plane[v * wpv..(v + 1) * wpv]);
+        pack_planes(bytes, self.slice_width, words);
         Ok(())
     }
 
@@ -724,6 +832,152 @@ impl PreparedCols {
 /// 64-byte cache line of each source row.
 const COL_BLOCK: usize = 16;
 
+/// The smallest pass worth splitting across threads:
+/// [`PackedSliceMatrix::pack_gathered`] and the executor's stages between
+/// GEMMs run a pass over fewer elements than this on the calling thread.
+/// The rayon shim starts its workers afresh for every parallel call, and
+/// on a 2-vCPU VM one `std::thread::scope` spawn and join took 70–290 µs.
+/// There, at 98k elements the executor's requantize, softmax and layer
+/// norm ran as fast on one thread as on two (0.15–0.2, 0.7–1.0 and
+/// 0.5–0.9 ms), while at 196k two threads cut requantize from 0.38–0.43 to
+/// 0.24–0.31 ms and softmax from 1.8–2.1 to 1.1–1.4 ms.
+pub const PAR_MIN_ELEMS: usize = 1 << 17;
+
+/// Units per task for a pass over `units` units of `unit_len` elements
+/// each: every unit in one task below [`PAR_MIN_ELEMS`] elements, and
+/// otherwise tasks of at least an eighth of that, so the shim's
+/// contiguous runs of tasks stay balanced across its workers.
+#[must_use]
+pub fn par_grain(units: usize, unit_len: usize) -> usize {
+    if units.saturating_mul(unit_len) < PAR_MIN_ELEMS {
+        units.max(1)
+    } else {
+        (PAR_MIN_ELEMS / 8)
+            .div_ceil(unit_len.max(1))
+            .clamp(1, units)
+    }
+}
+
+/// Bytes a short run of [`GatherRow::copy`] moves at once: one 16-byte
+/// load and store instead of a call to `memcpy`. The bytes past the run
+/// are overwritten by the runs after it, and past the vector's end are
+/// zeroed before it packs.
+const WIDE_COPY: usize = 16;
+
+/// The row one vector of [`PackedSliceMatrix::pack_gathered`] is written
+/// into, as runs of source elements and of zeros.
+#[derive(Debug)]
+pub struct GatherRow<'a> {
+    src: Source<'a>,
+    /// The vector's bytes, one per field of its word run plus
+    /// [`WIDE_COPY`] bytes of slack; empty while checking.
+    bytes: &'a mut [u8],
+    at: usize,
+}
+
+/// What a [`GatherRow`] reads its runs from.
+#[derive(Debug)]
+enum Source<'a> {
+    /// The source narrowed to bytes, every element in range.
+    Bytes(&'a [u8]),
+    /// The source values, each run checked against the declared range;
+    /// `error` keeps the first element that does not fit.
+    Check {
+        values: &'a [i32],
+        width: BitWidth,
+        signedness: Signedness,
+        error: Option<CoreError>,
+    },
+}
+
+impl GatherRow<'_> {
+    /// Appends the `n` source elements from `from` on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run reaches past the source or the vector's end.
+    #[inline]
+    pub fn copy(&mut self, from: usize, n: usize) {
+        if let Source::Bytes(src) = self.src {
+            if n <= WIDE_COPY && from + WIDE_COPY <= src.len() {
+                self.bytes[self.at..self.at + WIDE_COPY]
+                    .copy_from_slice(&src[from..from + WIDE_COPY]);
+            } else {
+                self.bytes[self.at..self.at + n].copy_from_slice(&src[from..from + n]);
+            }
+            self.at += n;
+        } else {
+            self.check(from, n);
+        }
+    }
+
+    /// [`Self::copy`] while checking: keeps the run's first element that
+    /// does not fit, unless an earlier run had one.
+    #[cold]
+    fn check(&mut self, from: usize, n: usize) {
+        if let Source::Check {
+            values,
+            width,
+            signedness,
+            error: error @ None,
+        } = &mut self.src
+        {
+            *error = values[from..from + n]
+                .iter()
+                .find_map(|&x| width.check(x, *signedness).err());
+        }
+        self.at += n;
+    }
+
+    /// Appends `n` zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector overflows its length.
+    #[inline]
+    pub fn zeros(&mut self, n: usize) {
+        if let Source::Bytes(_) = self.src {
+            if n <= WIDE_COPY {
+                self.bytes[self.at..self.at + WIDE_COPY].fill(0);
+            } else {
+                self.bytes[self.at..self.at + n].fill(0);
+            }
+        }
+        self.at += n;
+    }
+
+    /// Writes vector `v` of `len` elements through `gather`.
+    fn gathered<F: Fn(usize, &mut Self)>(&mut self, v: usize, len: usize, gather: &F) {
+        self.at = 0;
+        gather(v, self);
+        assert_eq!(
+            self.at, len,
+            "vector {v} gathered {} of {len} elements",
+            self.at
+        );
+    }
+}
+
+/// Packs one vector's narrowed bytes into its word run of each plane
+/// (`words`, in plane order), building every word from 8-byte groups
+/// ([`gather_fields`]).
+fn pack_planes<'w>(
+    bytes: &[u8],
+    slice_width: SliceWidth,
+    words: impl Iterator<Item = &'w mut [u64]>,
+) {
+    let s = slice_width.bits();
+    for (j, words) in words.enumerate() {
+        let shift = j as u32 * s;
+        match s {
+            1 => pack_plane::<1>(bytes, shift, words),
+            2 => pack_plane::<2>(bytes, shift, words),
+            4 => pack_plane::<4>(bytes, shift, words),
+            _ => pack_plane::<8>(bytes, shift, words),
+        }
+    }
+}
+
 /// `s`-bit fields per `u64` word.
 fn fields_per_word(slice_width: SliceWidth) -> usize {
     (64 / slice_width.bits()) as usize
@@ -934,6 +1188,90 @@ mod tests {
         let b = PackedSliceMatrix::pack(&[1], BitWidth::INT4, SliceWidth::BIT1, Signedness::Signed)
             .unwrap();
         let _ = a.dot(0, &b, 0);
+    }
+
+    #[test]
+    fn gathered_vectors_do_not_depend_on_the_block_split() {
+        // Vector v: four source elements from 7v, a zero, four from 3v + 1.
+        let src: Vec<i32> = (0..200).map(|i| (i * 37 % 255) - 128).collect();
+        let (num_vecs, len) = (23, 9);
+        let gather = |v: usize, row: &mut GatherRow| {
+            row.copy(7 * v, 4);
+            row.zeros(1);
+            row.copy(3 * v + 1, 4);
+        };
+        let rows: Vec<i32> = (0..num_vecs)
+            .flat_map(|v| {
+                let (a, b) = (&src[7 * v..7 * v + 4], &src[3 * v + 1..3 * v + 5]);
+                a.iter().copied().chain([0]).chain(b.iter().copied())
+            })
+            .collect();
+        let narrow: Vec<u8> = src.iter().map(|&x| x as u8).collect();
+        for sw in [
+            SliceWidth::BIT1,
+            SliceWidth::BIT2,
+            SliceWidth::BIT4,
+            SliceWidth::BIT8,
+        ] {
+            let (w, signed) = (BitWidth::INT8, Signedness::Signed);
+            let want = PackedSliceMatrix::pack_rows(&rows, num_vecs, len, w, sw, signed).unwrap();
+            let got = PackedSliceMatrix::pack_gathered(&src, num_vecs, len, w, sw, signed, gather);
+            assert_eq!(got.unwrap(), want, "{sw}");
+            for block in [1, 2, 3, 7, num_vecs, 100] {
+                let m = PackedSliceMatrix::zeroed(num_vecs, len, w, sw, signed);
+                assert_eq!(
+                    m.gather_blocks(&narrow, block, &gather),
+                    want,
+                    "{sw} block {block}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gathered_errors_name_the_first_element_in_vector_order() {
+        // -9 comes first in the source, but vector 0 reads the 9.
+        let mut src: Vec<i32> = (0..40).map(|i| i % 7 - 3).collect();
+        src[5] = -9;
+        src[30] = 9;
+        let from_the_end = |v: usize, row: &mut GatherRow| row.copy(30 - 5 * v, 5);
+        let pack = |num_vecs, gather: &(dyn Fn(usize, &mut GatherRow) + Sync)| {
+            PackedSliceMatrix::pack_gathered(
+                &src,
+                num_vecs,
+                5,
+                BitWidth::INT4,
+                SliceWidth::BIT2,
+                Signedness::Signed,
+                gather,
+            )
+        };
+        let err = pack(7, &from_the_end).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::ValueOutOfRange {
+                value: 9,
+                bits: 4,
+                signed: true
+            }
+        );
+        // No vector reads a value that does not fit: nothing to report.
+        let early = |v: usize, row: &mut GatherRow| row.copy(v, 5);
+        assert!(pack(1, &early).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "vector 0 gathered 4 of 5 elements")]
+    fn a_short_gather_panics() {
+        let _ = PackedSliceMatrix::pack_gathered(
+            &[1, 2, 3, 4],
+            1,
+            5,
+            BitWidth::INT4,
+            SliceWidth::BIT2,
+            Signedness::Signed,
+            |_, row| row.copy(0, 4),
+        );
     }
 
     #[test]

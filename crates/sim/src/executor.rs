@@ -4,26 +4,38 @@
 //! The analytical engine ([`crate::engine`]) answers "how fast / how much
 //! energy"; this module answers "is the arithmetic actually right" for a
 //! complete multi-layer pipeline: every convolution, dense and recurrent
-//! layer is lowered to GEMMs on the [`crate::systolic::SystolicArray`]
-//! (im2col for convolutions), with fixed-point requantization and ReLU
-//! between layers — exactly the integer pipeline a deployed quantized model
-//! runs — and validated against `bpvec-dnn`'s reference operators.
+//! layer is lowered to GEMMs on the [`crate::systolic::SystolicArray`],
+//! with fixed-point requantization and ReLU between layers — exactly the
+//! integer pipeline a deployed quantized model runs — and validated
+//! against `bpvec-dnn`'s reference operators.
 //!
 //! Execution runs on the packed bit-plane path
 //! ([`SystolicArray::gemm_packed`]). Weights are static, so they are
 //! bit-sliced once, at load: [`WeightStore::synthesize`] packs each compute
 //! layer's weights into [`bpvec_core::PackedSliceMatrix`] planes at that
 //! layer's weight width, and [`NetworkExecutor::execute`] packs only
-//! activations — each layer's im2col patches or input vector, at that
-//! layer's activation width — so mixed-precision networks execute without
-//! repacking to a uniform width. Every output tile (and, for recurrent
-//! layers, every timestep) reuses the packed operands through the
-//! word-level slice kernels. [`NetworkExecutor::execute_reference`]
-//! regenerates each layer's weights from the store's seed and never reads
-//! the planes, so the oracle does not depend on the packer. This is what
-//! makes complete Table I networks (e.g. AlexNet at 224×224) executable
-//! bit-true in seconds; the integration tests in `tests/bit_true_table1.rs`
-//! do exactly that against the reference pipeline.
+//! activations, at each layer's activation width, so mixed-precision
+//! networks execute without repacking to a uniform width. Every output
+//! tile (and, for recurrent layers, every timestep) reuses the packed
+//! operands through the word-level slice kernels.
+//!
+//! Between two GEMMs, `execute` stages operands the way the paper's output
+//! stage hands the next layer's CVUs bit-sliced vectors (private module
+//! `stage`): a convolution gathers each output position's patch straight
+//! into its packed vector ([`bpvec_core::PackedSliceMatrix::pack_gathered`]),
+//! with no im2col matrix, and a pointwise one column-packs its input as it
+//! stands; requantize with ReLU runs in place on the accumulators, and max
+//! pooling, softmax, layer norm and GELU run as passes over slices. A pass
+//! over at least [`bpvec_core::PAR_MIN_ELEMS`] elements splits across
+//! threads through rayon.
+//!
+//! [`NetworkExecutor::execute_reference`] is the oracle: it runs the same
+//! pipeline through `bpvec_dnn::reference`, which shares no code with those
+//! stages, and regenerates each layer's weights from the store's seed, so
+//! it never reads the planes either. This is what makes complete Table I
+//! networks (e.g. AlexNet at 224×224) executable bit-true in seconds and
+//! checkable; the integration tests in `tests/bit_true_table1.rs` do
+//! exactly that against the reference pipeline.
 
 use std::sync::OnceLock;
 
@@ -31,10 +43,11 @@ use bpvec_core::{
     kernels, BitWidth, CoreError, CvuConfig, PackedSliceMatrix, Signedness, SliceWidth,
 };
 use bpvec_dnn::layer::{Layer, LayerKind};
-use bpvec_dnn::packing::{pack_gemm_cols, pack_gemm_rows};
+use bpvec_dnn::packing::pack_gemm_rows;
 use bpvec_dnn::reference;
 use bpvec_dnn::Tensor;
 
+use crate::stage;
 use crate::systolic::{packed_tile_geometry, GemmPath, SystolicArray};
 
 /// Deterministic synthetic quantized weights for a layer stack, kept
@@ -346,10 +359,10 @@ fn feeds_transformer_op(layers: &[Layer], li: usize) -> bool {
 }
 
 /// Splits a stacked `[3·hidden, q_len]` QKV projection output into its
-/// planes: Q stays at the QK layer's activation width, K requantizes
-/// (shift-only) to its weight width, and V to the *downstream*
-/// `AttentionV` layer's weight width. Both execution paths call this, so
-/// they see bit-identical operands.
+/// planes for [`NetworkExecutor::execute_reference`]: Q stays at the QK
+/// layer's activation width, K requantizes (shift-only) to its weight
+/// width, and V to the *downstream* `AttentionV` layer's weight width.
+/// [`NetworkExecutor::execute`] requantizes the same two planes in place.
 fn split_qkv(
     layers: &[Layer],
     li: usize,
@@ -407,7 +420,7 @@ fn av_head(p: &Tensor, v: &Tensor, h: usize, head_dim: usize, q_len: usize) -> (
 
 /// Chooses the smallest right-shift that brings `t`'s extremes into the
 /// signed `bits` range — the per-tensor fixed-point calibration step.
-fn requant_shift_for(t: &Tensor, bits: BitWidth) -> u32 {
+pub(crate) fn requant_shift_for(t: &Tensor, bits: BitWidth) -> u32 {
     let (_, hi) = bits.range(Signedness::Signed);
     let mut shift = 0u32;
     let mut max = i64::from(t.max_abs());
@@ -416,6 +429,41 @@ fn requant_shift_for(t: &Tensor, bits: BitWidth) -> u32 {
         shift += 1;
     }
     shift
+}
+
+/// Checks that `layer`'s input `act` has the shape `expected`.
+fn expect_shape(layer: &Layer, act: &Tensor, expected: &[usize]) -> Result<(), CoreError> {
+    if act.shape() == expected {
+        Ok(())
+    } else {
+        Err(shape_mismatch(layer, act, expected))
+    }
+}
+
+/// Checks that `layer`'s input `act` has as many elements as the shape
+/// `expected`: a layer that reads its input flat accepts any shape of
+/// that size.
+fn expect_len(layer: &Layer, act: &Tensor, expected: &[usize]) -> Result<(), CoreError> {
+    if act.len() == expected.iter().product::<usize>() {
+        Ok(())
+    } else {
+        Err(shape_mismatch(layer, act, expected))
+    }
+}
+
+fn shape_mismatch(layer: &Layer, act: &Tensor, expected: &[usize]) -> CoreError {
+    CoreError::LayerShapeMismatch {
+        layer: layer.name.clone(),
+        expected: expected.to_vec(),
+        found: act.shape().to_vec(),
+    }
+}
+
+fn unsupported(layer: &Layer, reason: &'static str) -> CoreError {
+    CoreError::UnsupportedLayer {
+        layer: layer.name.clone(),
+        reason,
+    }
 }
 
 impl NetworkExecutor {
@@ -450,22 +498,35 @@ impl NetworkExecutor {
 
     /// Executes `layers` on `input` with `weights`, bit-true.
     ///
-    /// Convolutions/dense layers run as im2col GEMMs on the array, are
-    /// requantized to the layer's activation bitwidth (per-tensor calibrated
-    /// shift) and pass through ReLU (except after the final layer).
-    /// Recurrent layers run their gate GEMVs on the array per timestep.
+    /// Convolutions and dense layers run as GEMMs on the array against the
+    /// weight rows packed at load; a convolution's activation operand is
+    /// its patches, each gathered straight into its packed vector
+    /// ([`PackedSliceMatrix::pack_gathered`]), or for a pointwise
+    /// convolution its input's columns. Their accumulators are requantized
+    /// in place to the next layer's activation width (per-tensor calibrated
+    /// shift) and pass through ReLU, except after the final layer and
+    /// before an attention-era op. Recurrent layers run their gate GEMVs on
+    /// the array per timestep. Pooling, softmax, layer norm and GELU run as
+    /// passes over slices, parallel for large tensors, written
+    /// independently of the [`bpvec_dnn::reference`] operators that
+    /// [`Self::execute_reference`] runs.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::SliceWidthMismatch`] when a layer's weights are
-    /// packed at a slicing other than this array's CVU slicing, and
-    /// propagates [`CoreError`] from the array (operand range/composition).
+    /// - [`CoreError::LayerShapeMismatch`] when a layer's input does not
+    ///   have the shape the layer declares: `input` does not fit the first
+    ///   layer, or the stack does not chain;
+    /// - [`CoreError::UnsupportedLayer`] for a layer the executor does not
+    ///   run: decode-shaped attention (`q_len != kv_len`), or an attention
+    ///   QK without its attention·V partner;
+    /// - [`CoreError::SliceWidthMismatch`] when a layer's weights are
+    ///   packed at a slicing other than this array's CVU slicing;
+    /// - [`CoreError`] from packing and the array (operand range,
+    ///   composition).
     ///
     /// # Panics
     ///
-    /// Panics if `input`'s shape does not match the first layer or the
-    /// layer stack is internally inconsistent (programming errors, not
-    /// runtime conditions).
+    /// Panics if `weights` was synthesized for another layer stack.
     pub fn execute(
         &self,
         layers: &[Layer],
@@ -473,30 +534,46 @@ impl NetworkExecutor {
         weights: &WeightStore,
     ) -> Result<ExecutionTrace, CoreError> {
         let mut act = input.clone();
-        let mut traces = Vec::new();
+        let mut traces = Vec::with_capacity(layers.len());
+        // The V operand of an upstream MatMulQK, `[hidden, kv_len]`.
         let mut stashed_v: Option<Tensor> = None;
         for (li, layer) in layers.iter().enumerate() {
             let last = li == layers.len() - 1;
-            let no_relu = last || feeds_transformer_op(layers, li);
+            let relu = !(last || feeds_transformer_op(layers, li));
             let out_bits = output_bits(layers, li);
+            let no_gemm = TileTally::default();
             let (out, cycles, array_macs, shift, tiles) = match layer.kind {
                 LayerKind::Conv2d {
                     in_channels,
                     kernel,
                     stride,
                     padding,
+                    input_hw,
                     ..
                 } => {
+                    let conv = stage::ConvShape {
+                        input: (in_channels, input_hw.0, input_hw.1),
+                        kernel,
+                        stride,
+                        padding,
+                    };
+                    expect_shape(layer, &act, &[in_channels, input_hw.0, input_hw.1])?;
                     let pw = self.packed_weights(weights, li)?;
-                    let (acc, cycles, macs, tiles) =
-                        self.conv_on_array(layer, &act, pw, in_channels, kernel, stride, padding)?;
-                    let shift = requant_shift_for(&acc, out_bits);
-                    let q = reference::requantize(&acc, shift, out_bits, Signedness::Signed);
-                    let q = if no_relu { q } else { reference::relu(&q) };
-                    (q, cycles, macs, shift, tiles)
+                    let px = stage::pack_patches(
+                        act.as_slice(),
+                        conv,
+                        layer.act_bits,
+                        self.slice_width(),
+                        Signedness::Signed,
+                    )?;
+                    let (oh, ow) = conv.output_hw();
+                    let (mut acc, cycles, macs, tiles) =
+                        self.gemm(pw, &px, &[pw.num_vecs(), oh, ow])?;
+                    let shift = stage::requantize(acc.as_mut_slice(), out_bits, relu);
+                    (acc, cycles, macs, shift, tiles)
                 }
                 LayerKind::FullyConnected { in_features, .. } => {
-                    assert_eq!(act.len(), in_features, "fc input length");
+                    expect_len(layer, &act, &[in_features])?;
                     // The activation is a single packed vector (the lone GEMM
                     // column).
                     let pw = self.packed_weights(weights, li)?;
@@ -506,36 +583,58 @@ impl NetworkExecutor {
                         self.slice_width(),
                         Signedness::Signed,
                     )?;
-                    let mut tiles = TileTally::default();
-                    tiles.add(pw, &px);
-                    let run = self.array.gemm_packed(pw, &px)?;
-                    let mut acc = run.output;
-                    acc.reshape(&[pw.num_vecs()]);
-                    let shift = requant_shift_for(&acc, out_bits);
-                    let q = reference::requantize(&acc, shift, out_bits, Signedness::Signed);
-                    let q = if no_relu { q } else { reference::relu(&q) };
-                    (q, run.cycles, run.macs, shift, tiles)
+                    let (mut acc, cycles, macs, tiles) = self.gemm(pw, &px, &[pw.num_vecs()])?;
+                    let shift = stage::requantize(acc.as_mut_slice(), out_bits, relu);
+                    (acc, cycles, macs, shift, tiles)
                 }
-                LayerKind::Pool { kernel, stride, .. } => (
-                    reference::maxpool2d(&act, kernel, stride),
-                    0,
-                    0,
-                    0,
-                    TileTally::default(),
-                ),
+                LayerKind::Pool {
+                    channels,
+                    kernel,
+                    stride,
+                    input_hw: (h, w),
+                } => {
+                    expect_shape(layer, &act, &[channels, h, w])?;
+                    let grain = stage::grain(channels, h * w);
+                    let out =
+                        stage::maxpool(act.as_slice(), (channels, h, w), kernel, stride, grain);
+                    (out, 0, 0, 0, no_gemm)
+                }
                 LayerKind::MatMulQK {
                     heads,
                     q_len,
                     kv_len,
                     head_dim,
                 } => {
-                    assert_eq!(
-                        q_len, kv_len,
-                        "decode-shaped attention (q_len != kv_len) needs a KV cache; \
-                         the bit-true executor runs prefill shapes only"
-                    );
-                    let (qm, km, vm) = split_qkv(layers, li, &act, heads * head_dim, q_len);
-                    stashed_v = Some(vm);
+                    if q_len != kv_len {
+                        return Err(unsupported(
+                            layer,
+                            "decode-shaped attention (q_len != kv_len) needs a KV cache; \
+                             the bit-true executor runs prefill shapes only",
+                        ));
+                    }
+                    let hidden = heads * head_dim;
+                    expect_len(layer, &act, &[3 * hidden, q_len])?;
+                    let av_bits = layers[li + 1..]
+                        .iter()
+                        .find_map(|l| match l.kind {
+                            LayerKind::AttentionV { .. } => Some(l.weight_bits),
+                            _ => None,
+                        })
+                        .ok_or_else(|| {
+                            unsupported(layer, "attention QK needs a downstream attention·V layer")
+                        })?;
+                    // Q stays at the layer's activation width; K and V
+                    // requantize in place (shift only) to the QK and the
+                    // downstream attention·V weight widths.
+                    let n = hidden * q_len;
+                    let in_bits = layer.act_bits.bits();
+                    let (q, kv) = act.as_mut_slice().split_at_mut(n);
+                    let (k, v) = kv.split_at_mut(n);
+                    let grain = stage::grain(n, 1);
+                    for (plane, bits) in [(&mut *k, layer.weight_bits), (&mut *v, av_bits)] {
+                        let shift = in_bits.saturating_sub(bits.bits());
+                        stage::requantize_by(plane, shift, bits, false, grain);
+                    }
                     let mut scores = Tensor::zeros(&[heads * q_len, kv_len]);
                     let mut cycles = 0u64;
                     let mut macs = 0u64;
@@ -546,7 +645,7 @@ impl NetworkExecutor {
                     let block = head_dim * q_len;
                     for h in 0..heads {
                         let pa = PackedSliceMatrix::pack_cols(
-                            &qm.as_slice()[h * block..(h + 1) * block],
+                            &q[h * block..(h + 1) * block],
                             head_dim,
                             q_len,
                             layer.act_bits,
@@ -554,7 +653,7 @@ impl NetworkExecutor {
                             Signedness::Signed,
                         )?;
                         let pb = PackedSliceMatrix::pack_cols(
-                            &km.as_slice()[h * block..(h + 1) * block],
+                            &k[h * block..(h + 1) * block],
                             head_dim,
                             kv_len,
                             layer.weight_bits,
@@ -570,25 +669,20 @@ impl NetworkExecutor {
                         scores.as_mut_slice()[h * n..(h + 1) * n]
                             .copy_from_slice(run.output.as_slice());
                     }
-                    let shift = requant_shift_for(&scores, out_bits);
-                    let q = reference::requantize(&scores, shift, out_bits, Signedness::Signed);
-                    (q, cycles, macs, shift, tiles)
+                    let shift = stage::requantize(scores.as_mut_slice(), out_bits, false);
+                    stashed_v = Some(Tensor::from_data(&[hidden, kv_len], v.to_vec()));
+                    (scores, cycles, macs, shift, tiles)
                 }
                 LayerKind::Softmax { rows, cols } => {
-                    assert_eq!(act.len(), rows * cols, "softmax input");
-                    let mut s = act.clone();
-                    s.reshape(&[rows, cols]);
+                    expect_len(layer, &act, &[rows, cols])?;
+                    act.reshape(&[rows, cols]);
                     // Probabilities come out at the attention-V layer's
                     // activation width (its `out_bits`), topping out at the
                     // fixed-point one `1 << (bits-1)` — packed *unsigned*
                     // downstream.
-                    (
-                        reference::softmax_fixed(&s, out_bits),
-                        0,
-                        0,
-                        0,
-                        TileTally::default(),
-                    )
+                    let grain = stage::grain(rows, cols);
+                    stage::softmax(act.as_mut_slice(), cols, out_bits, grain);
+                    (act, 0, 0, 0, no_gemm)
                 }
                 LayerKind::AttentionV {
                     heads,
@@ -596,10 +690,15 @@ impl NetworkExecutor {
                     kv_len,
                     head_dim,
                 } => {
-                    let v = stashed_v
-                        .take()
-                        .expect("AttentionV requires the V operand of an upstream MatMulQK");
-                    assert_eq!(act.shape(), &[heads * q_len, kv_len], "attention probs");
+                    let v = stashed_v.take().ok_or_else(|| {
+                        unsupported(
+                            layer,
+                            "attention·V needs the V operand of an upstream attention QK",
+                        )
+                    })?;
+                    expect_shape(layer, &v, &[heads * head_dim, kv_len])?;
+                    expect_shape(layer, &act, &[heads * q_len, kv_len])?;
+                    let v = v.as_slice();
                     let mut ctx = Tensor::zeros(&[heads * head_dim, q_len, 1]);
                     let mut cycles = 0u64;
                     let mut macs = 0u64;
@@ -618,7 +717,7 @@ impl NetworkExecutor {
                             Signedness::Unsigned,
                         )?;
                         let pb = PackedSliceMatrix::pack_rows(
-                            &v.as_slice()[h * v_block..(h + 1) * v_block],
+                            &v[h * v_block..(h + 1) * v_block],
                             head_dim,
                             kv_len,
                             layer.weight_bits,
@@ -642,44 +741,40 @@ impl NetworkExecutor {
                             }
                         }
                     }
-                    let shift = requant_shift_for(&ctx, out_bits);
-                    let q = reference::requantize(&ctx, shift, out_bits, Signedness::Signed);
-                    (q, cycles, macs, shift, tiles)
+                    let shift = stage::requantize(ctx.as_mut_slice(), out_bits, false);
+                    (ctx, cycles, macs, shift, tiles)
                 }
                 LayerKind::LayerNorm { features, tokens } => {
-                    assert_eq!(act.len(), features * tokens, "layer-norm input");
-                    (
-                        reference::layer_norm_fixed(&act, out_bits),
-                        0,
-                        0,
-                        0,
-                        TileTally::default(),
-                    )
+                    expect_len(layer, &act, &[features, tokens])?;
+                    let grains = (
+                        stage::grain(tokens, features),
+                        stage::grain(features, tokens),
+                    );
+                    stage::layer_norm(act.as_mut_slice(), features, out_bits, grains);
+                    (act, 0, 0, 0, no_gemm)
                 }
                 LayerKind::Gelu { elems } => {
-                    assert_eq!(act.len(), elems, "gelu input");
-                    (
-                        reference::gelu_fixed(&act, out_bits),
-                        0,
-                        0,
-                        0,
-                        TileTally::default(),
-                    )
+                    expect_len(layer, &act, &[elems])?;
+                    stage::gelu(act.as_mut_slice(), out_bits, stage::grain(elems, 1));
+                    (act, 0, 0, 0, no_gemm)
                 }
                 LayerKind::Recurrent {
                     input_size,
                     hidden_size,
                     gates,
                     seq_len,
-                } => self.recurrent_on_array(
-                    layer,
-                    &act,
-                    self.packed_weights(weights, li)?,
-                    input_size,
-                    hidden_size,
-                    gates,
-                    seq_len,
-                )?,
+                } => {
+                    expect_shape(layer, &act, &[seq_len, input_size])?;
+                    self.recurrent_on_array(
+                        layer,
+                        &act,
+                        self.packed_weights(weights, li)?,
+                        input_size,
+                        hidden_size,
+                        gates,
+                        seq_len,
+                    )?
+                }
             };
             traces.push(LayerTrace {
                 name: layer.name.clone(),
@@ -700,6 +795,22 @@ impl NetworkExecutor {
             output: act,
             layers: traces,
         })
+    }
+
+    /// One packed GEMM on the array, its output reshaped to `shape`, with
+    /// its cycles, MACs and schedule.
+    fn gemm(
+        &self,
+        a: &PackedSliceMatrix,
+        b: &PackedSliceMatrix,
+        shape: &[usize],
+    ) -> Result<(Tensor, u64, u64, TileTally), CoreError> {
+        let mut tiles = TileTally::default();
+        tiles.add(a, b);
+        let run = self.array.gemm_packed(a, b)?;
+        let mut out = run.output;
+        out.reshape(shape);
+        Ok((out, run.cycles, run.macs, tiles))
     }
 
     /// Reference execution of the identical pipeline (same weights, same
@@ -829,71 +940,6 @@ impl NetworkExecutor {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn conv_on_array(
-        &self,
-        layer: &Layer,
-        act: &Tensor,
-        pw: &PackedSliceMatrix,
-        in_channels: usize,
-        kernel: (usize, usize),
-        stride: (usize, usize),
-        padding: (usize, usize),
-    ) -> Result<(Tensor, u64, u64, TileTally), CoreError> {
-        let (kh, kw) = kernel;
-        let ish = act.shape();
-        assert_eq!(ish[0], in_channels, "activation channels");
-        let (h, wdt) = (ish[1], ish[2]);
-        let oh = (h + 2 * padding.0 - kh) / stride.0 + 1;
-        let ow = (wdt + 2 * padding.1 - kw) / stride.1 + 1;
-        // im2col with zero padding: row (c, ky, kx), column (oy, ox).
-        let mut cols = Tensor::zeros(&[in_channels * kh * kw, oh * ow]);
-        let (src, dst) = (act.as_slice(), cols.as_mut_slice());
-        let mut row = 0;
-        for c in 0..in_channels {
-            let plane = &src[c * h * wdt..(c + 1) * h * wdt];
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let out = &mut dst[row * oh * ow..(row + 1) * oh * ow];
-                    row += 1;
-                    for oy in 0..oh {
-                        let Some(iy) = (oy * stride.0 + ky)
-                            .checked_sub(padding.0)
-                            .filter(|&iy| iy < h)
-                        else {
-                            continue;
-                        };
-                        let line = &plane[iy * wdt..(iy + 1) * wdt];
-                        for (ox, x) in out[oy * ow..(oy + 1) * ow].iter_mut().enumerate() {
-                            if let Some(&v) = (ox * stride.1 + kx)
-                                .checked_sub(padding.1)
-                                .and_then(|ix| line.get(ix))
-                            {
-                                *x = v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // The patch matrix column-packs at the layer's own activation width
-        // against the OIHW weight rows packed at load. Every output tile of
-        // the GEMM then reuses these planes.
-        let oc = pw.num_vecs();
-        let pcols = pack_gemm_cols(
-            &cols,
-            layer.act_bits,
-            self.slice_width(),
-            Signedness::Signed,
-        )?;
-        let mut tiles = TileTally::default();
-        tiles.add(pw, &pcols);
-        let run = self.array.gemm_packed(pw, &pcols)?;
-        let mut out = run.output;
-        out.reshape(&[oc, oh, ow]);
-        Ok((out, run.cycles, run.macs, tiles))
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn recurrent_on_array(
         &self,
         layer: &Layer,
@@ -904,7 +950,6 @@ impl NetworkExecutor {
         gates: usize,
         seq_len: usize,
     ) -> Result<(Tensor, u64, u64, u32, TileTally), CoreError> {
-        assert_eq!(act.shape(), &[seq_len, input_size], "recurrent input");
         let shift = recurrent_shift(layer, input_size, hidden_size);
         // The packed gate weights serve every timestep of the sequence —
         // only the (small) [x; h] vector packs per step.
@@ -1005,6 +1050,7 @@ mod tests {
     use super::*;
     use crate::systolic::ArrayConfig;
     use bpvec_dnn::layer::{Layer, LayerKind};
+    use bpvec_dnn::packing::pack_gemm_cols;
 
     fn executor() -> NetworkExecutor {
         NetworkExecutor::new(SystolicArray::new(ArrayConfig {
@@ -1317,7 +1363,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prefill")]
     fn decode_attention_is_explicitly_unsupported() {
         let layers = vec![Layer::new(
             "qk",
@@ -1330,7 +1375,161 @@ mod tests {
         )];
         let ws = WeightStore::synthesize(&layers, 1);
         let x = Tensor::zeros(&[24, 1, 1]);
-        let _ = executor().execute(&layers, &x, &ws);
+        let err = executor().execute(&layers, &x, &ws).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CoreError::UnsupportedLayer { layer, reason }
+                    if layer == "qk" && reason.contains("prefill")
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn full_resnet18_returns_a_typed_error() {
+        // The layer table floors maxpool's output to 55×55 while layer1
+        // declares 56×56 (and lists each downsampling shortcut inline), so
+        // the stack does not chain.
+        use bpvec_dnn::{BitwidthPolicy, Network, NetworkId};
+        let net = Network::build(NetworkId::ResNet18, BitwidthPolicy::Heterogeneous);
+        let ws = WeightStore::synthesize(&net.layers, 18);
+        let (lo, hi) = net.layers[0].act_bits.range(Signedness::Signed);
+        let x = Tensor::from_fn(&[3, 224, 224], |i| {
+            lo + (i[1] * 7 + i[2]) as i32 % (hi - lo)
+        });
+        let err = executor().execute(&net.layers, &x, &ws).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::LayerShapeMismatch {
+                layer: "layer1.0.conv1".into(),
+                expected: vec![64, 56, 56],
+                found: vec![64, 55, 55],
+            }
+        );
+    }
+
+    #[test]
+    fn layers_given_the_wrong_input_are_typed_errors() {
+        let fc = Layer::new(
+            "fc",
+            LayerKind::FullyConnected {
+                in_features: 12,
+                out_features: 4,
+            },
+        );
+        let pool = Layer::new(
+            "pool",
+            LayerKind::Pool {
+                channels: 2,
+                kernel: (2, 2),
+                stride: (2, 2),
+                input_hw: (4, 4),
+            },
+        );
+        let softmax = Layer::new("softmax", LayerKind::Softmax { rows: 4, cols: 8 });
+        let ln = Layer::new(
+            "ln",
+            LayerKind::LayerNorm {
+                features: 8,
+                tokens: 4,
+            },
+        );
+        let gelu = Layer::new("gelu", LayerKind::Gelu { elems: 32 });
+        let rnn = Layer::new(
+            "rnn",
+            LayerKind::Recurrent {
+                input_size: 6,
+                hidden_size: 4,
+                gates: 1,
+                seq_len: 3,
+            },
+        );
+        let mut block = Vec::new();
+        bpvec_dnn::transformer_block(&mut block, "b", 8, 2, 4, 4);
+        let (qk, av) = (block[2].clone(), block[4].clone());
+        let cases: [(Vec<Layer>, Tensor, &[usize]); 9] = [
+            (
+                vec![conv("conv", 3, 4, 3, 1, 1, 6)],
+                input(2, 6, 1),
+                &[3, 6, 6],
+            ),
+            (
+                vec![conv("conv", 3, 4, 3, 1, 1, 6)],
+                input(3, 5, 1),
+                &[3, 6, 6],
+            ),
+            (vec![fc], Tensor::zeros(&[2, 5]), &[12]),
+            (vec![pool], Tensor::zeros(&[2, 4, 5]), &[2, 4, 4]),
+            (vec![softmax], Tensor::zeros(&[4, 7]), &[4, 8]),
+            (vec![ln], Tensor::zeros(&[8, 5, 1]), &[8, 4]),
+            (vec![gelu], Tensor::zeros(&[31]), &[32]),
+            (vec![rnn], Tensor::zeros(&[6, 3]), &[3, 6]),
+            (
+                vec![qk.clone(), av.clone()],
+                Tensor::zeros(&[16, 4, 1]),
+                &[24, 4],
+            ),
+        ];
+        for (layers, x, expected) in cases {
+            let ws = WeightStore::synthesize(&layers, 5);
+            let err = executor().execute(&layers, &x, &ws).unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::LayerShapeMismatch {
+                    layer: layers[0].name.clone(),
+                    expected: expected.to_vec(),
+                    found: x.shape().to_vec(),
+                }
+            );
+        }
+        // Attention halves without their partner.
+        for (layers, x) in [
+            (vec![qk], Tensor::zeros(&[24, 4, 1])),
+            (vec![av], Tensor::zeros(&[8, 4])),
+        ] {
+            let ws = WeightStore::synthesize(&layers, 5);
+            let err = executor().execute(&layers, &x, &ws).unwrap_err();
+            assert!(
+                matches!(&err, CoreError::UnsupportedLayer { layer, .. } if *layer == layers[0].name),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn out_of_range_inputs_fail_as_the_im2col_packing_does() {
+        // A value past the layer's activation range planted in the input:
+        // `execute` reports the first one in patch order, the error that
+        // packing the im2col matrix's columns gives.
+        let layers = vec![conv("c", 3, 4, 3, 2, 1, 7).with_bits(BitWidth::INT4, BitWidth::INT4)];
+        let ws = WeightStore::synthesize(&layers, 9);
+        let mut x = Tensor::from_fn(&[3, 7, 7], |i| (i[0] + i[1] + i[2]) as i32 % 15 - 7);
+        x[&[2, 1, 1]] = -9;
+        x[&[0, 6, 6]] = 8;
+        let cols = Tensor::from_fn(&[27, 16], |i| {
+            let (c, ky, kx) = (i[0] / 9, i[0] / 3 % 3, i[0] % 3);
+            let (iy, ix) = (
+                (i[1] / 4 * 2 + ky) as isize - 1,
+                (i[1] % 4 * 2 + kx) as isize - 1,
+            );
+            if (0..7).contains(&iy) && (0..7).contains(&ix) {
+                x[&[c, iy as usize, ix as usize]]
+            } else {
+                0
+            }
+        });
+        let want = pack_gemm_cols(&cols, BitWidth::INT4, SliceWidth::BIT2, Signedness::Signed)
+            .unwrap_err();
+        assert_eq!(executor().execute(&layers, &x, &ws).unwrap_err(), want);
+        assert_eq!(
+            want,
+            CoreError::ValueOutOfRange {
+                value: -9,
+                bits: 4,
+                signed: true
+            }
+        );
     }
 
     #[test]

@@ -70,6 +70,7 @@ pub mod experiments;
 pub mod memory;
 pub mod roofline;
 pub mod scenario;
+mod stage;
 pub mod systolic;
 pub mod tiling;
 pub mod workload;
