@@ -19,12 +19,8 @@
 //!
 //! Flags: `--requests N` (flash-run budget), `--regions R --clusters C
 //! --replicas K` (topology: R × C × K replicas), `--seed S`,
-//! `--bench-out PATH` (write `BENCH_fleet.json` with wall-clock
-//! simulation throughput for the perf gate), `--trace-out PATH` (Chrome
-//! trace of the flash run), `--trace-every K` (trace sampling stride,
-//! default 1 in 10k requests when tracing).
-
-use std::time::Instant;
+//! `--trace-out PATH` (Chrome trace of the flash run), `--trace-every K`
+//! (trace sampling stride, default 1 in 10k requests when tracing).
 
 use bpvec_dnn::{BitwidthPolicy, NetworkId};
 use bpvec_obs::MemorySink;
@@ -40,7 +36,6 @@ struct Args {
     clusters: u32,
     replicas: u32,
     seed: u64,
-    bench_out: Option<String>,
     trace_out: Option<String>,
     trace_every: Option<u64>,
 }
@@ -52,7 +47,6 @@ fn parse_args() -> Args {
         clusters: 8,
         replicas: 16,
         seed: 0xF1EE7,
-        bench_out: None,
         trace_out: None,
         trace_every: None,
     };
@@ -75,16 +69,13 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--seed takes an integer");
             }
-            "--bench-out" => {
-                parsed.bench_out = Some(args.next().expect("--bench-out takes a file path"));
-            }
             "--trace-out" => {
                 parsed.trace_out = Some(args.next().expect("--trace-out takes a file path"));
             }
             "--trace-every" => parsed.trace_every = Some(num(&mut args, "--trace-every")),
             other => panic!(
                 "unknown argument `{other}` (expected --requests N, --regions R, --clusters C, \
-                 --replicas K, --seed S, --bench-out PATH, --trace-out PATH, or --trace-every K)"
+                 --replicas K, --seed S, --trace-out PATH, or --trace-every K)"
             ),
         }
     }
@@ -240,7 +231,6 @@ fn main() {
         mix.clone(),
         args.requests,
     );
-    let started = Instant::now();
     let flash_out = match &args.trace_out {
         Some(path) => {
             let stride = args
@@ -272,7 +262,6 @@ fn main() {
             options,
         ),
     };
-    let flash_wall_s = started.elapsed().as_secs_f64();
     check("flash", args.requests, &flash_out);
 
     // Diurnal run: two day/night cycles peaking at 1.1x capacity, one
@@ -289,7 +278,6 @@ fn main() {
         mix,
         diurnal_requests,
     );
-    let started = Instant::now();
     let diurnal_out = run_fleet(
         &accel,
         &dram,
@@ -300,11 +288,10 @@ fn main() {
         args.seed,
         options,
     );
-    let diurnal_wall_s = started.elapsed().as_secs_f64();
     check("diurnal", diurnal_requests, &diurnal_out);
 
     // Deterministic CSV: three sections, fixed-precision sim-derived
-    // numbers only (wall-clock goes to the bench JSON, never the CSV).
+    // numbers only.
     let mut csv = String::from(
         "kind,label,requests,admitted,dropped,completed,measured,mean_ms,p50_ms,p95_ms,p99_ms,\
          max_ms,sla_attainment,peak_window_rps,peak_in_system,events\n",
@@ -312,35 +299,4 @@ fn main() {
     csv_rows("flash", args.requests, &flash_out, &mut csv);
     csv_rows("diurnal", diurnal_requests, &diurnal_out, &mut csv);
     print!("{csv}");
-
-    if let Some(path) = &args.bench_out {
-        // Scale-independent perf rows: throughput holds (or improves) as
-        // the request budget grows and peak_in_system/requests shrinks, so
-        // a full-scale nightly run passes a CI-scale baseline.
-        let row = |name: &str, requests: u64, out: &ServingOutcome, wall_s: f64| {
-            format!(
-                "    {{\n      \"name\": \"{name}\",\n      \"requests\": {requests},\n      \
-                 \"replicas\": {total_replicas},\n      \"dropped\": {},\n      \
-                 \"peak_records_retained\": {},\n      \"sim_requests_per_sec\": {:.1},\n      \
-                 \"sim_events_per_sec\": {:.1},\n      \"peak_in_system_ratio\": {:.6}\n    }}",
-                out.dropped,
-                out.peak_records_retained,
-                requests as f64 / wall_s,
-                out.events as f64 / wall_s,
-                out.peak_in_system as f64 / requests as f64,
-            )
-        };
-        let json = format!(
-            "{{\n  \"bench\": \"fleet_sweep\",\n  \"results\": [\n{},\n{}\n  ]\n}}\n",
-            row("fleet_flash", args.requests, &flash_out, flash_wall_s),
-            row(
-                "fleet_diurnal",
-                diurnal_requests,
-                &diurnal_out,
-                diurnal_wall_s
-            ),
-        );
-        std::fs::write(path, json).expect("bench file is writable");
-        eprintln!("wrote {path}");
-    }
 }

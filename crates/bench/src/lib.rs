@@ -24,9 +24,9 @@
 //! [`Evaluator`](bpvec_sim::Evaluator). The `--csv` / `--json` flags on the
 //! figure binaries emit machine-readable output for plotting pipelines.
 //!
-//! Criterion benches (`cargo bench`) measure the functional CVU engine, the
-//! cycle-true systolic array, the analytical experiment harnesses and the
-//! ablation sweeps.
+//! `tests/perf_contracts.rs` holds the same-run performance contracts:
+//! release-mode tests that time each fast path against the path it must
+//! beat and assert on the ratio.
 
 use bpvec_dnn::{BitwidthPolicy, NetworkId};
 use bpvec_gpumodel::GpuPlatform;

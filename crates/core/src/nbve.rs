@@ -195,8 +195,8 @@ pub fn slice_dot_words(
 }
 
 /// [`slice_dot_words`] through an explicit kernel tier — the entry point
-/// dispatch-equality tests and benches use to pin every available tier
-/// against the scalar reference on the same inputs.
+/// dispatch-equality tests use to pin every available tier against the
+/// scalar reference on the same inputs.
 ///
 /// # Panics
 ///

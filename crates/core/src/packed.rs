@@ -472,8 +472,8 @@ impl PackedSliceMatrix {
     }
 
     /// [`PackedSliceMatrix::dot`] through an explicit kernel tier — the
-    /// entry point dispatch-equality tests and benches use to pin every
-    /// available tier against the scalar reference on the same operands.
+    /// entry point dispatch-equality tests use to pin every available tier
+    /// against the scalar reference on the same operands.
     ///
     /// # Panics
     ///

@@ -134,10 +134,15 @@ impl Tensor {
         self.shape = shape.to_vec();
     }
 
-    /// Maximum absolute value (0 for an empty tensor).
+    /// Maximum absolute value (0 for an empty tensor), as `u32` so that
+    /// `i32::MIN`'s magnitude, 2^31, fits.
     #[must_use]
-    pub fn max_abs(&self) -> i32 {
-        self.data.iter().map(|v| v.abs()).max().unwrap_or(0)
+    pub fn max_abs(&self) -> u32 {
+        self.data
+            .iter()
+            .map(|v| v.unsigned_abs())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Packs this tensor's rows (dim 0 × flattened rest) into bit planes —
@@ -245,5 +250,7 @@ mod tests {
         let t = Tensor::from_data(&[3], vec![-7, 3, 5]);
         assert_eq!(t.max_abs(), 7);
         assert_eq!(Tensor::zeros(&[0]).max_abs(), 0);
+        let t = Tensor::from_data(&[3], vec![i32::MAX, i32::MIN, 0]);
+        assert_eq!(t.max_abs(), 1 << 31);
     }
 }

@@ -22,8 +22,8 @@
 //! * **Free when disabled.** [`TraceSink`]'s default methods are no-ops
 //!   and `enabled()` defaults to `false`; instrumented code normalizes a
 //!   disabled sink to `None` once at entry, so the uninstrumented hot path
-//!   is unchanged apart from one `Option` branch (the `obs_overhead`
-//!   criterion bench pins this below 3%).
+//!   is unchanged apart from one `Option` branch (a release-mode test in
+//!   `crates/bench/tests/perf_contracts.rs` pins this below 3%).
 //! * **Deterministic.** Events carry sim-time (the serving clock — never
 //!   wall-clock) plus a sink-assigned monotone sequence number, and the
 //!   exporters hand-format their output with fixed field order, so two

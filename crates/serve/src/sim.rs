@@ -192,8 +192,8 @@ pub struct ServingOutcome {
     /// Requests shed by fleet admission control or region queue caps
     /// (always 0 outside fleet runs).
     pub dropped: u64,
-    /// High-water mark of `records.len()` — the bench gate's proof that a
-    /// streaming run held no per-request state (0 when retention is off).
+    /// High-water mark of `records.len()` — the proof that a streaming
+    /// run held no per-request state (0 when retention is off).
     pub peak_records_retained: u64,
     /// High-water mark of requests simultaneously in the system (queued,
     /// in flight, or in inter-tier transit).

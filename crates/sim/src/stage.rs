@@ -463,8 +463,10 @@ mod tests {
     #[test]
     fn shift_fits_the_largest_magnitude_like_the_reference() {
         // The executor's reference pipeline calibrates with a loop over
-        // `Tensor::max_abs`; `shift_for` is the closed form.
-        for max in [
+        // `Tensor::max_abs`; `shift_for` is the closed form. Each case's
+        // largest magnitude is its middle element; `i32::MIN` has no
+        // negation, so its case is written out.
+        let cases = [
             0,
             1,
             2,
@@ -478,14 +480,19 @@ mod tests {
             (1 << 20) - 1,
             1 << 20,
             i32::MAX,
-        ] {
-            let t = Tensor::from_data(&[3], vec![max / 3, -max, max / 2]);
+        ]
+        .map(|max| vec![max / 3, -max, max / 2])
+        .into_iter()
+        .chain([vec![i32::MIN / 3, i32::MIN, i32::MIN / 2]]);
+        for data in cases {
+            let max = data[1].unsigned_abs();
+            let t = Tensor::from_data(&[3], data);
             for grain in grains(3) {
-                assert_eq!(max_abs(t.as_slice(), grain), max.unsigned_abs());
+                assert_eq!(max_abs(t.as_slice(), grain), max);
             }
             for bits in widths() {
                 assert_eq!(
-                    shift_for(max.unsigned_abs(), bits),
+                    shift_for(max, bits),
                     crate::executor::requant_shift_for(&t, bits),
                     "max {max} at {bits}"
                 );
