@@ -20,6 +20,7 @@ use std::time::Instant;
 use bpvec_core::kernels::{detected_tier, KernelTier};
 use bpvec_core::{BitWidth, Signedness};
 use bpvec_dnn::{BitwidthPolicy, Network, NetworkId, PrecisionPolicy, Tensor};
+use bpvec_isa::{diff_network, MachineConfig, NetworkDiff};
 use bpvec_obs::NullSink;
 use bpvec_serve::{
     run_serving, run_serving_adaptive, run_serving_traced, AdaptiveSpec, ArrivalProcess,
@@ -31,6 +32,10 @@ use bpvec_sim::{
     simulate, AcceleratorConfig, BatchRegime, CostModel, DramSpec, Evaluator, Measurement,
     SimConfig, Workload,
 };
+
+/// The materialized differential harness the one-pass one must beat.
+#[path = "../../isa/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Times `a` against `b` in `pairs` pairs, `a` first in even pairs and
 /// `b` first in odd ones, and returns the median of the per-pair ratios
@@ -361,5 +366,54 @@ fn avx512_kernel_is_at_least_4x_scalar_where_detected() {
     assert!(
         ratio >= 4.0,
         "the avx512 kernel must be at least 4x the scalar kernel, got {ratio:.1}x"
+    );
+}
+
+// ---------------------------------------------------------------------
+// The differential harness: one pass per layer.
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "same-run timing contract: run with --release"
+)]
+fn one_pass_diff_is_at_least_1_3x_the_materialized_harness() {
+    // The 16 cells of the `differential` grid.
+    let batches = BatchRegime::paper_default();
+    let cells: Vec<(Network, u64)> = [
+        NetworkId::AlexNet,
+        NetworkId::InceptionV1,
+        NetworkId::ResNet18,
+        NetworkId::ResNet50,
+        NetworkId::Rnn,
+        NetworkId::Lstm,
+        NetworkId::VitBase,
+        NetworkId::BertBase,
+    ]
+    .into_iter()
+    .flat_map(|id| {
+        [BitwidthPolicy::Homogeneous8, BitwidthPolicy::Heterogeneous]
+            .map(|p| (Network::build(id, p), batches.batch_for(id)))
+    })
+    .collect();
+    let cfg = MachineConfig::bpvec_ddr4();
+    let ratio = median_ratio(
+        9,
+        || {
+            cells
+                .iter()
+                .map(|(net, b)| oracle::materialized_diff(net, cfg, cfg, *b))
+                .collect::<Vec<NetworkDiff>>()
+        },
+        || {
+            cells
+                .iter()
+                .map(|(net, b)| diff_network(net, cfg, *b))
+                .collect::<Vec<NetworkDiff>>()
+        },
+    );
+    assert!(
+        ratio >= 1.3,
+        "the one-pass diff must run at least 1.3x the materialized harness, got {ratio:.2}x"
     );
 }

@@ -9,7 +9,8 @@
 //! 2. the **packed executor** ([`bpvec_sim::NetworkExecutor`]) — bit-true
 //!    arithmetic on the cycle-counted systolic array;
 //! 3. the **ISA machine** ([`crate::Machine`]) — an instruction
-//!    interpreter over programs from [`crate::try_lower_network`].
+//!    interpreter over the instruction streams the lowering pass
+//!    ([`crate::try_lower_layer`]) produces.
 //!
 //! They share no code paths past the layer shapes, so agreement is
 //! evidence of correctness and disagreement localizes a bug. This module
@@ -29,7 +30,16 @@
 //!   the analytic lower bound, and a continuing machine can never be
 //!   slower than per-layer fresh runs).
 //!
-//! [`diff_network`] runs the model × machine legs over a whole network;
+//! [`diff_network`] runs the model × machine legs over a whole network in
+//! one pass per layer: the lowering streams each instruction straight into
+//! the layer's fresh machine and the network's continuing machine, and the
+//! program-side totals (MACs, DMA bytes, DMA transfers) are counted as the
+//! instructions go by, so no `Program` is built. Both machines see exactly
+//! the instructions [`crate::Machine::try_run`] and [`crate::Machine::run`]
+//! would see on the lowered programs, in the same order. A layer that fails
+//! to lower, or traps on a scratchpad bound partway, leaves the continuing
+//! machine as it was before the layer.
+//!
 //! [`diff_execution`] adds the packed-executor leg on probe-sized layer
 //! windows ([`execution_probe`]), where bit-true output equality against
 //! the reference pipeline is also enforced. [`diff_network_against`]
@@ -43,8 +53,9 @@ use bpvec_sim::systolic::{ArrayConfig, SystolicArray};
 use bpvec_sim::{layer_cost, NetworkExecutor, WeightStore};
 use std::fmt;
 
-use crate::machine::{Machine, MachineConfig};
-use crate::program::{try_lower_layer, LowerError, Program};
+use crate::inst::Instruction;
+use crate::machine::{Machine, MachineConfig, Trap};
+use crate::program::{lower_into, try_lower_layer, LowerError, Sink};
 
 /// The agreement contract a differential check ran under.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -295,7 +306,8 @@ pub struct NetworkDiff {
     pub model_latency_s: f64,
     /// Sum of per-layer fresh-machine latencies, seconds.
     pub machine_latency_s: f64,
-    /// End-to-end seconds of one continuing machine over all programs.
+    /// End-to-end seconds of one continuing machine over every layer
+    /// that lowered and ran without a trap.
     pub machine_pipelined_s: f64,
 }
 
@@ -407,6 +419,64 @@ pub fn diff_network(network: &Network, config: MachineConfig, b: u64) -> Network
     diff_network_against(network, config, config, b)
 }
 
+/// The lowering's sink in [`diff_network_against`]: every instruction is
+/// checked against the scratchpad bounds, counted into the program-side
+/// totals, and stepped on the layer's fresh machine and on the network's
+/// continuing machine as it is produced.
+struct Lockstep<'a> {
+    /// The layer's own machine, from reset.
+    fresh: Machine,
+    /// The machine that runs the network layer after layer.
+    continuing: &'a mut Machine,
+    /// The first transfer past the working set; nothing steps after it.
+    trap: Option<Trap>,
+    /// MACs the `MatMul` instructions issue.
+    macs: u64,
+    /// Bytes the DMA instructions move.
+    dma_bytes: u64,
+    /// DMA instructions.
+    dma_ops: u64,
+}
+
+impl<'a> Lockstep<'a> {
+    fn new(fresh: Machine, continuing: &'a mut Machine) -> Self {
+        Lockstep {
+            fresh,
+            continuing,
+            trap: None,
+            macs: 0,
+            dma_bytes: 0,
+            dma_ops: 0,
+        }
+    }
+}
+
+impl Sink for Lockstep<'_> {
+    #[inline]
+    fn push(&mut self, inst: Instruction) {
+        if self.trap.is_some() {
+            return;
+        }
+        // The fresh machine has retired every instruction before this one.
+        if let Err(trap) = self.fresh.check(self.fresh.retired(), &inst) {
+            self.trap = Some(trap);
+            return;
+        }
+        match inst {
+            Instruction::LoadTile { bytes, .. } | Instruction::StoreTile { bytes, .. } => {
+                self.dma_bytes += u64::from(bytes);
+                self.dma_ops += 1;
+            }
+            Instruction::MatMul { m, k, n } => {
+                self.macs += u64::from(m) * u64::from(k) * u64::from(n);
+            }
+            Instruction::SetPrecision { .. } | Instruction::Barrier => {}
+        }
+        self.fresh.step(&inst);
+        self.continuing.step(&inst);
+    }
+}
+
 /// Cross-checks the analytical model (under `model_cfg`) against the ISA
 /// machine (under `machine_cfg`) for every layer of `network` at batch `b`.
 ///
@@ -424,9 +494,11 @@ pub fn diff_network_against(
     let working = machine_cfg.accel.scratchpad.working_bytes();
     let mut layers = Vec::new();
     let mut network_mismatches = Vec::new();
-    let mut programs: Vec<Program> = Vec::new();
     let mut model_latency_s = 0.0;
     let mut machine_latency_s = 0.0;
+    let reset = Machine::new(machine_cfg);
+    let mut continuing = reset.clone();
+    let mut machine_pipelined_s = 0.0;
     for layer in &network.layers {
         let cost = layer_cost(layer, &model_cfg.accel, &model_cfg.dram, b);
         let model = ModelView {
@@ -437,37 +509,47 @@ pub fn diff_network_against(
             latency_s: cost.latency_s,
         };
         model_latency_s += model.latency_s;
-        let program = match try_lower_layer(layer, working, b) {
-            Ok(p) => p,
-            Err(e) => {
-                network_mismatches.push(Mismatch::Lower(e));
-                continue;
-            }
-        };
+        // The continuing machine as this layer found it: restored if the
+        // layer fails to lower or traps partway.
+        let before = continuing.clone();
+        let mut pass = Lockstep::new(reset.clone(), &mut continuing);
+        let lowered = lower_into(&mut pass, layer, working, b);
+        let Lockstep {
+            fresh,
+            trap,
+            macs: program_macs,
+            dma_bytes,
+            dma_ops,
+            ..
+        } = pass;
+        if let Err(e) = lowered {
+            continuing = before;
+            network_mismatches.push(Mismatch::Lower(e));
+            continue;
+        }
+        if let Some(trap) = trap {
+            continuing = before;
+            layers.push(LayerDiff {
+                name: layer.name.clone(),
+                kind: layer.kind.kind_name(),
+                model,
+                machine: MachineView {
+                    macs: 0,
+                    traffic_bytes: 0,
+                    compute_s: 0.0,
+                    dma_s: 0.0,
+                    latency_s: 0.0,
+                    instructions: 0,
+                },
+                mismatches: vec![Mismatch::Trap {
+                    trap: trap.to_string(),
+                }],
+            });
+            continue;
+        }
+        machine_pipelined_s += continuing.report_since(&before).seconds(&machine_cfg);
+        let report = fresh.report_since(&reset);
         let mut mismatches = Vec::new();
-        let mut fresh = Machine::new(machine_cfg);
-        let report = match fresh.try_run(&program) {
-            Ok(r) => r,
-            Err(trap) => {
-                layers.push(LayerDiff {
-                    name: layer.name.clone(),
-                    kind: layer.kind.kind_name(),
-                    model,
-                    machine: MachineView {
-                        macs: 0,
-                        traffic_bytes: 0,
-                        compute_s: 0.0,
-                        dma_s: 0.0,
-                        latency_s: 0.0,
-                        instructions: 0,
-                    },
-                    mismatches: vec![Mismatch::Trap {
-                        trap: trap.to_string(),
-                    }],
-                });
-                continue;
-            }
-        };
         let machine = MachineView {
             macs: report.macs,
             traffic_bytes: report.traffic_bytes,
@@ -479,7 +561,6 @@ pub fn diff_network_against(
         machine_latency_s += machine.latency_s;
 
         // 1. MACs: exact, three ways.
-        let program_macs = program.matmul_macs();
         if model.macs != program_macs || program_macs != machine.macs {
             mismatches.push(Mismatch::Macs {
                 model: model.macs,
@@ -488,29 +569,28 @@ pub fn diff_network_against(
             });
         }
         // 2. Machine traffic reproduces the program exactly.
-        if machine.traffic_bytes != program.dma_bytes() {
+        if machine.traffic_bytes != dma_bytes {
             mismatches.push(Mismatch::MachineTraffic {
-                program: program.dma_bytes(),
+                program: dma_bytes,
                 machine: machine.traffic_bytes,
             });
         }
         // 3. Program traffic tracks the analytic tiling estimate.
-        let band = traffic_band(&layer.kind, program.dma_ops());
+        let band = traffic_band(&layer.kind, dma_ops);
         let traffic_ok = match band {
             Tolerance::Ratio { min, max } => {
-                let r = program.dma_bytes() as f64 / (model.traffic_bytes.max(1)) as f64;
+                let r = dma_bytes as f64 / (model.traffic_bytes.max(1)) as f64;
                 r >= min && r < max
             }
             Tolerance::UpToBytes(slack) => {
-                program.dma_bytes() >= model.traffic_bytes
-                    && program.dma_bytes() <= model.traffic_bytes + slack
+                dma_bytes >= model.traffic_bytes && dma_bytes <= model.traffic_bytes + slack
             }
             _ => unreachable!("traffic bands are Ratio or UpToBytes"),
         };
         if !traffic_ok {
             mismatches.push(Mismatch::ModelTraffic {
                 model: model.traffic_bytes,
-                program: program.dma_bytes(),
+                program: dma_bytes,
                 tolerance: band,
             });
         }
@@ -523,7 +603,7 @@ pub fn diff_network_against(
         }
         // 5. DMA time: the model's transfer time for the program's actual
         //    bytes must equal the machine's DMA-busy time, to round-off.
-        let model_dma_s = model_cfg.dram.transfer_time_s(program.dma_bytes());
+        let model_dma_s = model_cfg.dram.transfer_time_s(dma_bytes);
         if !rel_close(model_dma_s, machine.dma_s, 1e-9) {
             mismatches.push(Mismatch::DmaTime {
                 model_s: model_dma_s,
@@ -546,7 +626,6 @@ pub fn diff_network_against(
                 });
             }
         }
-        programs.push(program);
         layers.push(LayerDiff {
             name: layer.name.clone(),
             kind: layer.kind.kind_name(),
@@ -555,13 +634,8 @@ pub fn diff_network_against(
             mismatches,
         });
     }
-    // Network scope: one continuing machine over all programs can only be
+    // Network scope: one continuing machine over every layer can only be
     // faster than the per-layer fresh runs (cross-layer pipelining).
-    let mut continuing = Machine::new(machine_cfg);
-    let mut machine_pipelined_s = 0.0;
-    for p in &programs {
-        machine_pipelined_s += continuing.run(p).seconds(&machine_cfg);
-    }
     if machine_pipelined_s > machine_latency_s * (1.0 + 1e-9) {
         network_mismatches.push(Mismatch::Pipelining {
             continuing_s: machine_pipelined_s,
@@ -931,6 +1005,31 @@ mod tests {
                 .any(|m| matches!(m, Mismatch::DmaTime { .. }))),
             "a bandwidth drift must be typed as DmaTime:\n{d}"
         );
+    }
+
+    #[test]
+    fn lockstep_stops_both_machines_at_the_first_out_of_bounds_transfer() {
+        let cfg = MachineConfig::bpvec_ddr4();
+        let limit = u32::try_from(cfg.accel.scratchpad.working_bytes()).unwrap();
+        let load = |bytes| Instruction::LoadTile {
+            dst_offset: 0,
+            bytes,
+            buffer: 0,
+        };
+        let mut continuing = Machine::new(cfg);
+        let mut pass = Lockstep::new(Machine::new(cfg), &mut continuing);
+        for inst in [load(64), load(limit + 1), load(64)] {
+            pass.push(inst);
+        }
+        assert!(matches!(
+            pass.trap,
+            Some(Trap::ScratchpadOverflow { index: 1, .. })
+        ));
+        assert_eq!(
+            (pass.fresh.retired(), pass.dma_ops, pass.dma_bytes),
+            (1, 1, 64)
+        );
+        assert_eq!(continuing.retired(), 1);
     }
 
     #[test]

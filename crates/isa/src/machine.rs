@@ -172,6 +172,9 @@ impl Machine {
     }
 
     /// Executes one instruction, advancing the timelines.
+    // Inlined into the differential harness's one-pass lowering, which
+    // otherwise pays an out-of-line call per instruction (about 2x slower).
+    #[inline]
     pub fn step(&mut self, inst: &Instruction) {
         self.retired += 1;
         match *inst {
@@ -213,26 +216,55 @@ impl Machine {
     /// programs model consecutive layers on one device; use
     /// [`Machine::run_fresh`] for an isolated measurement.
     pub fn run(&mut self, program: &Program) -> RunReport {
-        let start_cycles = self.dma_time.max(self.compute_time);
-        let (busy_c0, busy_d0, traffic0, macs0, retired0) = (
-            self.compute_busy,
-            self.dma_busy,
-            self.traffic,
-            self.macs,
-            self.retired,
-        );
+        let before = self.clone();
         for inst in &program.instructions {
             self.step(inst);
         }
+        self.report_since(&before)
+    }
+
+    /// What this machine did since it was `before`: the cycles from where
+    /// `before`'s timelines ended to where this machine's end, and the
+    /// growth of every accumulator.
+    pub(crate) fn report_since(&self, before: &Machine) -> RunReport {
+        let start_cycles = before.dma_time.max(before.compute_time);
         let end_cycles = self.dma_time.max(self.compute_time);
         RunReport {
             cycles: end_cycles - start_cycles,
-            compute_cycles: self.compute_busy - busy_c0,
-            dma_cycles: self.dma_busy - busy_d0,
-            traffic_bytes: self.traffic - traffic0,
-            macs: self.macs - macs0,
-            instructions: self.retired - retired0,
+            compute_cycles: self.compute_busy - before.compute_busy,
+            dma_cycles: self.dma_busy - before.dma_busy,
+            traffic_bytes: self.traffic - before.traffic,
+            macs: self.macs - before.macs,
+            instructions: self.retired - before.retired,
         }
+    }
+
+    /// The scratchpad bound on one instruction, the `index`-th of its
+    /// program: a DMA transfer must end inside the working set.
+    #[inline]
+    pub(crate) fn check(&self, index: usize, inst: &Instruction) -> Result<(), Trap> {
+        if let Instruction::LoadTile {
+            dst_offset: offset,
+            bytes,
+            ..
+        }
+        | Instruction::StoreTile {
+            src_offset: offset,
+            bytes,
+            ..
+        } = *inst
+        {
+            let limit = self.config.accel.scratchpad.working_bytes();
+            if u64::from(offset) + u64::from(bytes) > limit {
+                return Err(Trap::ScratchpadOverflow {
+                    index,
+                    offset,
+                    bytes,
+                    limit,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Validates a program against the scratchpad bounds, then runs it.
@@ -249,28 +281,8 @@ impl Machine {
     /// Returns [`Trap::ScratchpadOverflow`] for the first DMA instruction
     /// whose `offset + bytes` extends past the accelerator's working set.
     pub fn try_run(&mut self, program: &Program) -> Result<RunReport, Trap> {
-        let limit = self.config.accel.scratchpad.working_bytes();
         for (index, inst) in program.instructions.iter().enumerate() {
-            if let Instruction::LoadTile {
-                dst_offset: offset,
-                bytes,
-                ..
-            }
-            | Instruction::StoreTile {
-                src_offset: offset,
-                bytes,
-                ..
-            } = *inst
-            {
-                if u64::from(offset) + u64::from(bytes) > limit {
-                    return Err(Trap::ScratchpadOverflow {
-                        index,
-                        offset,
-                        bytes,
-                        limit,
-                    });
-                }
-            }
+            self.check(index, inst)?;
         }
         Ok(self.run(program))
     }

@@ -19,6 +19,11 @@
 //! Every DMA transfer a lowered program issues fits the double-buffered
 //! working set, so [`crate::Machine::try_run`] never traps on the output of
 //! [`try_lower_layer`] (fuzzed in `tests/machine_fuzz.rs`).
+//!
+//! The lowering writes into a crate-private instruction sink: a `Vec`
+//! collects the [`Program`] the public functions return, and the
+//! differential harness ([`crate::diff`]) steps its machines with each
+//! instruction as it is produced instead.
 
 use bpvec_dnn::layer::{Layer, LayerKind};
 use bpvec_dnn::Network;
@@ -112,6 +117,18 @@ impl fmt::Display for Program {
     }
 }
 
+/// Where lowering writes its instructions, in issue order.
+pub(crate) trait Sink {
+    /// Takes the next instruction.
+    fn push(&mut self, inst: Instruction);
+}
+
+impl Sink for Vec<Instruction> {
+    fn push(&mut self, inst: Instruction) {
+        Vec::push(self, inst);
+    }
+}
+
 /// Ceil-bytes of `elems` elements at `bits` bits each.
 fn byte_len(elems: u64, bits: u32) -> u64 {
     elems.saturating_mul(u64::from(bits)).div_ceil(8)
@@ -187,7 +204,7 @@ impl std::error::Error for LowerError {}
 /// scratchpad buffer), alternating the double-buffer halves. Traffic is
 /// preserved exactly: the chunks sum to `total`.
 fn push_chunked(
-    code: &mut Vec<Instruction>,
+    code: &mut impl Sink,
     what: &'static str,
     total: u64,
     half: u64,
@@ -258,10 +275,26 @@ fn push_chunked(
 /// # Ok::<(), bpvec_isa::LowerError>(())
 /// ```
 pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Program, LowerError> {
-    let mut code = vec![Instruction::SetPrecision {
+    let mut instructions = Vec::new();
+    lower_into(&mut instructions, layer, working_bytes, b)?;
+    Ok(Program {
+        name: layer.name.clone(),
+        instructions,
+    })
+}
+
+/// [`try_lower_layer`] into any [`Sink`]. On an error the sink has taken
+/// every instruction issued before the one that failed to encode.
+pub(crate) fn lower_into(
+    code: &mut impl Sink,
+    layer: &Layer,
+    working_bytes: u64,
+    b: u64,
+) -> Result<(), LowerError> {
+    code.push(Instruction::SetPrecision {
         act_bits: layer.act_bits,
         weight_bits: layer.weight_bits,
-    }];
+    });
     let ab = layer.act_bits.bits();
     let wb = layer.weight_bits.bits();
     let half = (working_bytes / 2).max(1);
@@ -282,7 +315,7 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
             let t = tiling::layer_tiling(layer, working_bytes, b);
             let (oh, ow) = layer.output_hw().expect("conv output");
             lower_conv_nest(
-                &mut code,
+                code,
                 &ConvNest {
                     in_c: in_channels,
                     out_c: out_channels,
@@ -308,7 +341,7 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
         } => {
             let t = tiling::layer_tiling(layer, working_bytes, b);
             lower_conv_nest(
-                &mut code,
+                code,
                 &ConvNest {
                     in_c: in_features,
                     out_c: out_features,
@@ -334,14 +367,14 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
             let (oh, ow) = layer.output_hw().expect("pool output");
             (|| {
                 push_chunked(
-                    &mut code,
+                    code,
                     "pool input",
                     byte_len(b * (channels * input_hw.0 * input_hw.1) as u64, ab),
                     half,
                     true,
                 )?;
                 push_chunked(
-                    &mut code,
+                    code,
                     "pool output",
                     byte_len(b * (channels * oh * ow) as u64, ab),
                     half,
@@ -368,11 +401,11 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
                     // unless it fits on chip, in which case only the first
                     // step loads.
                     if t == 0 || !on_chip {
-                        push_chunked(&mut code, "recurrent weights", w_bytes, half, true)?;
+                        push_chunked(code, "recurrent weights", w_bytes, half, true)?;
                     }
                     // x_t and h_{t-1} in, h_t (and c_t) out.
                     push_chunked(
-                        &mut code,
+                        code,
                         "recurrent state in",
                         byte_len(b * (input_size + hidden_size) as u64, ab),
                         half,
@@ -384,7 +417,7 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
                         n: field_u32("matmul n", b)?,
                     });
                     push_chunked(
-                        &mut code,
+                        code,
                         "recurrent state out",
                         byte_len(b * hidden_size as u64, ab),
                         half,
@@ -405,7 +438,7 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
             // scores = Q · Kᵀ per head: K [kv_len × head_dim] stationary,
             // Q rows stream, scores [q_len × kv_len] out.
             lower_attention_gemm(
-                &mut code,
+                code,
                 &AttnGemm {
                     heads,
                     q_rows: q_len,
@@ -430,7 +463,7 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
             // context = P · V per head: V [kv_len × head_dim] stationary,
             // probability rows stream, context [q_len × head_dim] out.
             lower_attention_gemm(
-                &mut code,
+                code,
                 &AttnGemm {
                     heads,
                     q_rows: q_len,
@@ -452,14 +485,14 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
             // pooling — no array work, so no MatMul.
             (|| {
                 push_chunked(
-                    &mut code,
+                    code,
                     "activation input",
                     byte_len(b * layer.input_elems(), ab),
                     half,
                     true,
                 )?;
                 push_chunked(
-                    &mut code,
+                    code,
                     "activation output",
                     byte_len(b * layer.output_elems(), ab),
                     half,
@@ -470,10 +503,7 @@ pub fn try_lower_layer(layer: &Layer, working_bytes: u64, b: u64) -> Result<Prog
             code.push(Instruction::Barrier);
         }
     }
-    Ok(Program {
-        name: layer.name.clone(),
-        instructions: code,
-    })
+    Ok(())
 }
 
 /// Infallible [`try_lower_layer`].
@@ -507,7 +537,7 @@ struct ConvNest {
     b: u64,
 }
 
-fn lower_conv_nest(code: &mut Vec<Instruction>, n: &ConvNest) -> Result<(), Oversize> {
+fn lower_conv_nest(code: &mut impl Sink, n: &ConvNest) -> Result<(), Oversize> {
     let n_oc = n.out_c.div_ceil(n.oc_t);
     let n_ic = n.in_c.div_ceil(n.ic_t);
     let n_oh = n.oh.div_ceil(n.oh_t);
@@ -587,7 +617,7 @@ struct AttnGemm {
 /// slabs; otherwise the stationary operand re-streams once per row tile,
 /// with the tile sized so a row slab plus its output fits the other half.
 fn lower_attention_gemm(
-    code: &mut Vec<Instruction>,
+    code: &mut impl Sink,
     g: &AttnGemm,
     working_bytes: u64,
 ) -> Result<(), Oversize> {

@@ -319,31 +319,29 @@ impl SystolicArray {
                 macs: 0,
             });
         }
-        // Macro-tiles of A rows fan out rayon-parallel; on the lane path
-        // they share B, prepared once (see the tiers in the doc above).
+        // Macro-tiles of A rows fan out rayon-parallel, each computing into
+        // a scratch block and narrowing it into its own output rows; on the
+        // lane path they share B, prepared once (see the tiers in the doc
+        // above).
         let tier = kernels::active_tier();
         let geo = packed_tile_geometry(a, b);
         let cols = (geo.path == GemmPath::Lanes).then(|| b.prepare_cols());
-        let blocks: Vec<(usize, usize)> = (0..geo.macro_row_tiles as usize)
-            .map(|t| (t * geo.row_block, ((t + 1) * geo.row_block).min(m)))
-            .collect();
-        let computed: Vec<Vec<i64>> = blocks
-            .par_iter()
-            .map(|&(lo, hi)| {
-                let mut block = vec![0i64; (hi - lo) * n];
+        output
+            .as_mut_slice()
+            .par_chunks_mut(geo.row_block * n)
+            .enumerate()
+            .for_each(|(t, out)| {
+                let lo = t * geo.row_block;
+                let rows = lo..lo + out.len() / n;
+                let mut block = vec![0i64; out.len()];
                 match &cols {
-                    Some(cols) => a.dot_block_lanes_into(tier, lo..hi, cols, &mut block),
-                    None => a.dot_block_into(tier, lo..hi, b, &mut block),
+                    Some(cols) => a.dot_block_lanes_into(tier, rows, cols, &mut block),
+                    None => a.dot_block_into(tier, rows, b, &mut block),
                 }
-                block
-            })
-            .collect();
-        let out = output.as_mut_slice();
-        for ((lo, hi), block) in blocks.into_iter().zip(computed) {
-            for (o, &v) in out[lo * n..hi * n].iter_mut().zip(&block) {
-                *o = i32::try_from(v).expect("quantized GEMM results fit i32");
-            }
-        }
+                for (o, v) in out.iter_mut().zip(block) {
+                    *o = i32::try_from(v).expect("quantized GEMM results fit i32");
+                }
+            });
         // MACs are charged per *computed* output (matching `gemm`, which
         // only counts outputs a CVU actually produced).
         let macs = (m * n) as u64 * k as u64;
