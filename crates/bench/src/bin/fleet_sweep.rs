@@ -23,10 +23,10 @@
 //! (trace sampling stride, default 1 in 10k requests when tracing).
 
 use bpvec_dnn::{BitwidthPolicy, NetworkId};
-use bpvec_obs::MemorySink;
+use bpvec_obs::{MemorySink, TraceSink};
 use bpvec_serve::{
-    run_fleet, run_fleet_traced, ArrivalProcess, BatchPolicy, FleetSpec, RegionSpec, RequestMix,
-    Router, RunOptions, ServiceModel, ServingOutcome, TenantClass, TrafficSpec,
+    ArrivalProcess, BatchPolicy, FleetSpec, RegionSpec, RequestMix, Router, RunOptions,
+    ServiceModel, ServingOutcome, ServingRun, TenantClass, Topology, TrafficSpec,
 };
 use bpvec_sim::{AcceleratorConfig, BatchRegime, DramSpec, Evaluator, Workload};
 
@@ -231,36 +231,34 @@ fn main() {
         mix.clone(),
         args.requests,
     );
+    let flash = ServingRun {
+        backend: &accel,
+        memory: dram,
+        policy,
+        topology: Topology::Fleet(&spec),
+        traffic: &flash_traffic,
+        control: None,
+        service: ServiceModel::Deterministic,
+        seed: args.seed,
+    };
     let flash_out = match &args.trace_out {
         Some(path) => {
             let stride = args
                 .trace_every
                 .unwrap_or_else(|| (args.requests / 10_000).max(1));
             let sink = MemorySink::new();
-            let out = run_fleet_traced(
-                &accel,
-                &dram,
-                policy,
-                &spec,
-                &flash_traffic,
-                ServiceModel::Deterministic,
-                args.seed,
-                options.with_trace_every(stride),
-                &sink,
-            );
+            let out = flash
+                .try_run(
+                    options.with_trace_every(stride),
+                    Some(&sink as &dyn TraceSink),
+                )
+                .unwrap_or_else(|e| panic!("flash: {e}"));
             std::fs::write(path, sink.to_chrome_json()).expect("trace file is writable");
             out
         }
-        None => run_fleet(
-            &accel,
-            &dram,
-            policy,
-            &spec,
-            &flash_traffic,
-            ServiceModel::Deterministic,
-            args.seed,
-            options,
-        ),
+        None => flash
+            .try_run(options, None)
+            .unwrap_or_else(|e| panic!("flash: {e}")),
     };
     check("flash", args.requests, &flash_out);
 
@@ -278,16 +276,12 @@ fn main() {
         mix,
         diurnal_requests,
     );
-    let diurnal_out = run_fleet(
-        &accel,
-        &dram,
-        policy,
-        &spec,
-        &diurnal_traffic,
-        ServiceModel::Deterministic,
-        args.seed,
-        options,
-    );
+    let diurnal_out = ServingRun {
+        traffic: &diurnal_traffic,
+        ..flash
+    }
+    .try_run(options, None)
+    .unwrap_or_else(|e| panic!("diurnal: {e}"));
     check("diurnal", diurnal_requests, &diurnal_out);
 
     // Deterministic CSV: three sections, fixed-precision sim-derived

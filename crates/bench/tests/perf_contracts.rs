@@ -21,11 +21,10 @@ use bpvec_core::kernels::{detected_tier, KernelTier};
 use bpvec_core::{BitWidth, Signedness};
 use bpvec_dnn::{BitwidthPolicy, Network, NetworkId, PrecisionPolicy, Tensor};
 use bpvec_isa::{diff_network, MachineConfig, NetworkDiff};
-use bpvec_obs::NullSink;
+use bpvec_obs::{NullSink, TraceSink};
 use bpvec_serve::{
-    run_serving, run_serving_adaptive, run_serving_traced, AdaptiveSpec, ArrivalProcess,
-    BatchPolicy, ClusterSpec, ControllerConfig, RequestMix, Router, ServiceModel, ServingOutcome,
-    TrafficSpec,
+    AdaptiveSpec, ArrivalProcess, BatchPolicy, ClusterSpec, ControllerConfig, RequestMix, Router,
+    RunOptions, ServiceModel, ServingOutcome, ServingRun, Topology, TrafficSpec,
 };
 use bpvec_sim::systolic::{ArrayConfig, SystolicArray};
 use bpvec_sim::{
@@ -102,24 +101,18 @@ fn serve_fixed(traced: bool) -> u64 {
         RequestMix::single(Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)),
         50_000,
     );
-    let (dram, policy) = (DramSpec::ddr4(), BatchPolicy::immediate());
-    let cluster = ClusterSpec::new(2, Router::JoinShortestQueue);
-    let service = ServiceModel::Deterministic;
-    let outcome = if traced {
-        run_serving_traced(
-            &FixedServer,
-            &dram,
-            policy,
-            cluster,
-            &traffic,
-            service,
-            17,
-            &NullSink,
-        )
-    } else {
-        run_serving(&FixedServer, &dram, policy, cluster, &traffic, service, 17)
+    let run = ServingRun {
+        backend: &FixedServer,
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::immediate(),
+        topology: Topology::Cluster(ClusterSpec::new(2, Router::JoinShortestQueue)),
+        traffic: &traffic,
+        control: None,
+        service: ServiceModel::Deterministic,
+        seed: 17,
     };
-    outcome.events
+    let sink = traced.then_some(&NullSink as &dyn TraceSink);
+    run.try_run(RunOptions::retained(), sink).unwrap().events
 }
 
 /// A disabled sink is normalized to no sink at the loop's entry, so the
@@ -191,11 +184,18 @@ fn serve_rungs(adaptive: bool) -> ServingOutcome {
         RequestMix::single(Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)),
         5_000,
     );
-    let (dram, policy) = (DramSpec::ddr4(), BatchPolicy::deadline(8, 2.0 * FULL_S));
-    let service = ServiceModel::Deterministic;
+    let static_run = ServingRun {
+        backend: &RungServer,
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::deadline(8, 2.0 * FULL_S),
+        topology: Topology::Cluster(ClusterSpec::new(2, Router::JoinShortestQueue)),
+        traffic: &traffic,
+        control: None,
+        service: ServiceModel::Deterministic,
+        seed: 17,
+    };
     if !adaptive {
-        let cluster = ClusterSpec::new(2, Router::JoinShortestQueue);
-        return run_serving(&RungServer, &dram, policy, cluster, &traffic, service, 17);
+        return static_run.try_run(RunOptions::retained(), None).unwrap();
     }
     let ladder = PrecisionPolicy::degradation_ladder(
         ["hom8", "int4", "int2"].map(|s| s.parse::<PrecisionPolicy>().expect("parses")),
@@ -203,17 +203,13 @@ fn serve_rungs(adaptive: bool) -> ServingOutcome {
     .expect("narrows monotonically");
     let spec = AdaptiveSpec::new(ladder)
         .with_controller(ControllerConfig::new(4.0 * FULL_S).with_depths(2, 12));
-    let cluster = ClusterSpec::new(2, Router::LeastDegraded);
-    run_serving_adaptive(
-        &RungServer,
-        &dram,
-        policy,
-        cluster,
-        &traffic,
-        &spec,
-        service,
-        17,
-    )
+    ServingRun {
+        topology: Topology::Cluster(ClusterSpec::new(2, Router::LeastDegraded)),
+        control: Some(&spec),
+        ..static_run
+    }
+    .try_run(RunOptions::retained(), None)
+    .unwrap()
 }
 
 #[test]

@@ -19,16 +19,14 @@
 //! preserving the O(1)-memory contract of
 //! [`crate::ServingOutcome::summary`].
 
-use bpvec_obs::TraceSink;
-use bpvec_sim::{CostModel, DramSpec, Evaluator};
+use bpvec_sim::{DramSpec, Evaluator};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-use crate::cluster::{ClusterSpec, Router};
+use crate::cluster::Router;
 use crate::scheduler::BatchPolicy;
-use crate::sim::{run_serving_with_control, CostTable, RunOptions, ServiceModel, ServingOutcome};
+use crate::sim::{RunOptions, ServiceModel, ServingOutcome, ServingRun, Topology};
 use crate::streaming::{QuantileSketch, RegionRollup, TenantRollup};
 use crate::TrafficSpec;
 
@@ -555,22 +553,16 @@ impl FleetState {
     }
 }
 
-/// Simulates one open-loop traffic spec against a hierarchical fleet.
+/// [`ServingRun::try_run`] on a [`Topology::Fleet`] with static control
+/// and no trace sink, panicking on a malformed configuration.
 ///
-/// The replica pool is the fleet's flattened topology; admission control,
-/// tenant sampling, and region/cluster routing run per
-/// [`FleetSpec`]. Defaults stream (`options = RunOptions::default()` keeps
-/// no per-request records); the outcome's `summary` carries the
-/// per-tenant and per-region rollups, and `dropped` counts shed load, so
-/// `admitted == completed` and `admitted + dropped == traffic.requests`
-/// once the run drains.
+/// Only the `fleet-serve` workload of the `perfbench` benchmark still
+/// calls this; the benchmark's sources change only together with the
+/// benchmark, and new code calls [`ServingRun::try_run`].
 ///
 /// # Panics
 ///
-/// Panics on a malformed configuration: everything [`crate::run_serving`]
-/// checks, plus an invalid fleet (empty regions/tenants, bad weights or
-/// home regions, zero caps) and closed-loop traffic (fleet runs are
-/// open-loop only).
+/// On every configuration [`ServingRun::try_run`] rejects.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn run_fleet(
@@ -583,84 +575,18 @@ pub fn run_fleet(
     seed: u64,
     options: RunOptions,
 ) -> ServingOutcome {
-    run_fleet_inner(
-        backend, memory, policy, fleet, traffic, service, seed, options, None,
-    )
-}
-
-/// [`run_fleet`] with trace emission (respecting `options.trace_every`).
-///
-/// # Panics
-///
-/// As [`run_fleet`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_traced(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    fleet: &FleetSpec,
-    traffic: &TrafficSpec,
-    service: ServiceModel,
-    seed: u64,
-    options: RunOptions,
-    trace: &dyn TraceSink,
-) -> ServingOutcome {
-    run_fleet_inner(
+    let run = ServingRun {
         backend,
-        memory,
+        memory: *memory,
         policy,
-        fleet,
+        topology: Topology::Fleet(fleet),
         traffic,
+        control: None,
         service,
         seed,
-        options,
-        Some(trace),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fleet_inner(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    fleet: &FleetSpec,
-    traffic: &TrafficSpec,
-    service: ServiceModel,
-    seed: u64,
-    options: RunOptions,
-    trace: Option<&dyn TraceSink>,
-) -> ServingOutcome {
-    if let Err(e) = crate::scenario::validate_policy(&policy) {
-        panic!("run_fleet: {e}");
-    }
-    if let Err(e) = crate::scenario::validate_traffic(traffic) {
-        panic!("run_fleet: {e}");
-    }
-    if let Err(e) = validate_fleet(fleet, traffic) {
-        panic!("run_fleet: {e}");
-    }
-    let total = u32::try_from(fleet.total_replicas()).expect("validated <= u32::MAX");
-    let cost = CostModel::new();
-    let table = Arc::new(CostTable::build(
-        backend,
-        memory,
-        traffic,
-        policy.max_batch(),
-        &cost,
-    ));
-    run_serving_with_control(
-        vec![table],
-        None,
-        policy,
-        ClusterSpec::new(total, fleet.router),
-        traffic,
-        service,
-        seed,
-        trace,
-        options,
-        Some(fleet),
-    )
+    };
+    run.try_run(options, None)
+        .unwrap_or_else(|e| panic!("run_fleet: {e}"))
 }
 
 #[cfg(test)]

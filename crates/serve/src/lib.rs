@@ -34,22 +34,20 @@
 //!   validated [`bpvec_dnn::DegradationLadder`] (degrade under backlog or
 //!   p99 breach, upgrade with hysteresis), plus an optional replica
 //!   autoscaler driven by the same signals;
-//! * [`sim`] — the event loop itself ([`run_serving`] /
-//!   [`run_serving_adaptive`]): seeded, deterministic, with paired arrival
-//!   sequences across policies and per-replica active-precision state; the
-//!   `_traced` variants ([`run_serving_traced`] /
-//!   [`run_serving_adaptive_traced`]) record request lifecycle spans,
-//!   queue-depth samples, and control-plane events into a
-//!   [`bpvec_obs::TraceSink`], stamped with sim-time so traces are
-//!   byte-identical across identically-seeded runs;
-//! * [`queue`] — the engine's event queue: a binary-heap baseline and a
-//!   calendar queue with O(1) expected push/pop at fleet scale, selected
-//!   per run (or via `BPVEC_EVENT_QUEUE`) and bit-identical in pop order;
+//! * [`sim`] — the event loop itself and its one entry point,
+//!   [`ServingRun::try_run`]: seeded, deterministic, with paired arrival
+//!   sequences across policies and per-replica active-precision state,
+//!   returning a [`ServingError`] for a malformed run. Given a
+//!   [`bpvec_obs::TraceSink`], a run records request lifecycle spans,
+//!   queue-depth samples, and control-plane events, stamped with sim-time
+//!   so traces are byte-identical across identically-seeded runs. Its
+//!   events pop from a calendar queue with O(1) expected push/pop at fleet
+//!   scale;
 //! * [`streaming`] — O(1)-memory streaming metrics ([`StreamingSummary`]):
 //!   a deterministic log-bucketed [`QuantileSketch`] (p50/p95/p99 within
 //!   ~1%), windowed peak throughput, and per-class/tenant/region rollups,
 //!   so 10M-request runs never retain per-request records;
-//! * [`fleet`] — fleet topology for [`run_fleet`]: regions → clusters →
+//! * [`fleet`] — the [`Topology::Fleet`] description: regions → clusters →
 //!   replicas with spill-or-drop admission control, weighted
 //!   [`TenantClass`]es with per-tenant SLAs and in-flight quotas, and
 //!   inter-tier forwarding latency;
@@ -64,6 +62,42 @@
 //!   via `.trace(sink)` (deterministic, cell-order forwarded),
 //!   `.profile(profiler)` (wall-clock, kept out of the trace), and
 //!   `.metrics(registry)` (cost-model and aggregate serving counters).
+//!
+//! ## Running one configuration
+//!
+//! ```
+//! use bpvec_serve::{
+//!     ArrivalProcess, BatchPolicy, ClusterSpec, RequestMix, RunOptions, ServiceModel,
+//!     ServingRun, Topology, TrafficSpec,
+//! };
+//! use bpvec_sim::{AcceleratorConfig, DramSpec, Workload};
+//! use bpvec_dnn::{BitwidthPolicy, NetworkId};
+//!
+//! # fn main() -> Result<(), bpvec_serve::ServingError> {
+//! let traffic = TrafficSpec::new(
+//!     "steady",
+//!     ArrivalProcess::poisson(200.0),
+//!     RequestMix::single(Workload::new(NetworkId::ResNet18, BitwidthPolicy::Homogeneous8)),
+//!     200,
+//! );
+//! let run = ServingRun {
+//!     backend: &AcceleratorConfig::bpvec(),
+//!     memory: DramSpec::ddr4(),
+//!     policy: BatchPolicy::deadline(8, 0.002),
+//!     topology: Topology::Cluster(ClusterSpec::single()),
+//!     traffic: &traffic,
+//!     control: None,
+//!     service: ServiceModel::Deterministic,
+//!     seed: 7,
+//! };
+//! let outcome = run.try_run(RunOptions::default().with_sla(Some(0.05)), None)?;
+//! assert_eq!(outcome.completed, 200);
+//! assert!(outcome.records.is_empty(), "the default options stream");
+//! // A zero trace stride is a typed error, not a panic.
+//! assert!(run.try_run(RunOptions::default().with_trace_every(0), None).is_err());
+//! # Ok(())
+//! # }
+//! ```
 //!
 //! ## Declaring a serving experiment
 //!
@@ -98,7 +132,7 @@ pub mod cluster;
 pub mod controller;
 pub mod fleet;
 pub mod metrics;
-pub mod queue;
+mod queue;
 pub mod scenario;
 pub mod scheduler;
 pub mod sim;
@@ -107,14 +141,12 @@ pub mod streaming;
 pub use arrivals::{ArrivalProcess, MixEntry, RequestMix, TrafficSpec};
 pub use cluster::{ClusterSpec, Router};
 pub use controller::{AdaptiveSpec, AutoscalerConfig, ControlPolicy, ControllerConfig};
-pub use fleet::{run_fleet, run_fleet_traced, FleetSpec, RegionSpec, TenantClass};
+pub use fleet::{run_fleet, FleetSpec, RegionSpec, TenantClass};
 pub use metrics::{LatencyHistogram, LatencyStats, ServingMetrics};
-pub use queue::QueueKind;
 pub use scenario::{ServingCell, ServingError, ServingReport, ServingScenario};
 pub use scheduler::BatchPolicy;
 pub use sim::{
-    run_serving, run_serving_adaptive, run_serving_adaptive_traced,
-    run_serving_adaptive_with_options, run_serving_traced, run_serving_with_options,
     PolicySwitchEvent, RequestRecord, RunOptions, ScaleEvent, ServiceModel, ServingOutcome,
+    ServingRun, Topology,
 };
 pub use streaming::{QuantileSketch, RegionRollup, StreamingSummary, TenantRollup};

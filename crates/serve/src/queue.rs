@@ -1,72 +1,24 @@
-//! Indexed event queue for the serving simulator.
+//! The serving simulator's event queue.
 //!
-//! The original event loop drove a flat `BinaryHeap`, whose O(log n) pops
+//! The event loop once drove a flat `BinaryHeap`, whose O(log n) pops
 //! start to hurt once a fleet run pushes 10^7–10^8 events through it. The
 //! `CalendarQueue` here is the classic Brown calendar queue: events hash
 //! into time-bucketed "days" of a rotating "year", so push and pop are
 //! O(1) amortized while the bucket width tracks the mean event spacing.
 //!
 //! Determinism contract: events are keyed by `(time, seq)`, a *strict*
-//! total order (seq is unique), so any correct priority queue pops the
-//! exact same sequence. The calendar queue is therefore bit-identical to
-//! the heap — `crates/serve/tests/queue_equivalence.rs` and the nightly
-//! CSV byte-diff pin that, and `BPVEC_EVENT_QUEUE=heap` forces the heap
-//! at runtime for differential runs.
-
-use std::collections::BinaryHeap;
-use std::sync::OnceLock;
-
-/// Which priority-queue implementation backs the simulator's event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Flat binary heap (the original implementation; O(log n) per op).
-    Heap,
-    /// Brown calendar queue (O(1) amortized push/pop; the default).
-    Calendar,
-}
-
-impl QueueKind {
-    /// The process-wide default: [`QueueKind::Calendar`], unless the
-    /// `BPVEC_EVENT_QUEUE` environment variable picks `heap` or
-    /// `calendar` explicitly (read once, cached for the process).
-    pub fn from_env() -> Self {
-        static KIND: OnceLock<QueueKind> = OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("BPVEC_EVENT_QUEUE").as_deref() {
-            Ok("heap") => QueueKind::Heap,
-            Ok("calendar") | Err(_) => QueueKind::Calendar,
-            Ok(other) => panic!("BPVEC_EVENT_QUEUE={other:?}: expected `heap` or `calendar`"),
-        })
-    }
-}
+//! total order (seq is unique), so a correct queue pops exactly one
+//! sequence. The unit tests below check the calendar against a binary
+//! heap on random interleaved schedules, and the event loop
+//! `debug_assert!`s that every run pops strictly increasing `(time, seq)`
+//! keys.
 
 /// One scheduled entry: fires at `time`, ties broken by unique `seq`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Entry<T> {
+struct Entry<T> {
     time: f64,
     seq: u64,
     item: T,
-}
-
-/// Heap ordering inverted so `BinaryHeap::pop` yields the minimum
-/// `(time, seq)` — same trick the simulator's original `Event` Ord used.
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then(other.seq.cmp(&self.seq))
-    }
 }
 
 /// Brown-style calendar queue over `(time, seq, item)` entries.
@@ -226,65 +178,46 @@ impl<T: Copy> CalendarQueue<T> {
     }
 }
 
-/// The simulator's event queue: heap or calendar, chosen per run.
-#[derive(Debug)]
-pub(crate) enum EventQueue<T> {
-    /// Flat binary heap.
-    Heap(BinaryHeap<Entry<T>>),
-    /// Calendar queue.
-    Calendar(CalendarQueue<T>),
-}
-
-impl<T: Copy> EventQueue<T> {
-    pub(crate) fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    pub(crate) fn push(&mut self, time: f64, seq: u64, item: T) {
-        match self {
-            EventQueue::Heap(h) => h.push(Entry { time, seq, item }),
-            EventQueue::Calendar(c) => c.push(time, seq, item),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(f64, u64, T)> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|e| (e.time, e.seq, e.item)),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Heap(h) => h.is_empty(),
-            EventQueue::Calendar(c) => c.is_empty(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    /// Push a randomized schedule through both implementations and demand
-    /// the identical pop sequence — the bit-identity contract in miniature.
+    /// The oracle: a min-heap keyed by `(time bits, seq)`. For the
+    /// non-negative finite times the simulator schedules, the IEEE bit
+    /// pattern orders exactly like the value.
+    #[derive(Default)]
+    struct Heap(BinaryHeap<Reverse<(u64, u64, u32)>>);
+
+    impl Heap {
+        fn push(&mut self, time: f64, seq: u64, item: u32) {
+            self.0.push(Reverse((time.to_bits(), seq, item)));
+        }
+
+        fn pop(&mut self) -> Option<(f64, u64, u32)> {
+            self.0
+                .pop()
+                .map(|Reverse((t, seq, item))| (f64::from_bits(t), seq, item))
+        }
+    }
+
+    /// Push a randomized schedule through the calendar and the heap and
+    /// demand the identical pop sequence.
     #[test]
     fn calendar_matches_heap_on_random_interleaved_ops() {
         for seed in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(0xCA1E_0000 + seed);
-            let mut heap = EventQueue::<u32>::new(QueueKind::Heap);
-            let mut cal = EventQueue::<u32>::new(QueueKind::Calendar);
+            let mut heap = Heap::default();
+            let mut cal = CalendarQueue::<u32>::new();
             let mut seq = 0u64;
             let mut clock = 0.0f64;
             for step in 0..5_000 {
                 // Bias towards pushes early, pops late; occasional far-future
                 // events exercise the year-jump path.
-                let push = heap.is_empty() || rng.gen_bool(if step < 3_000 { 0.7 } else { 0.3 });
+                let push = heap.0.is_empty() || rng.gen_bool(if step < 3_000 { 0.7 } else { 0.3 });
                 if push {
                     let horizon = if rng.gen_bool(0.02) { 500.0 } else { 1.0 };
                     let t = clock + rng.gen_range(0.0..horizon);
@@ -307,7 +240,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_pop_in_seq_order() {
-        let mut cal = EventQueue::<u8>::new(QueueKind::Calendar);
+        let mut cal = CalendarQueue::<u8>::new();
         for seq in [3u64, 0, 2, 1] {
             cal.push(1.0, seq, seq as u8);
         }
@@ -318,16 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn queue_kind_default_is_calendar() {
-        // CI never sets BPVEC_EVENT_QUEUE for the unit suite.
-        if std::env::var("BPVEC_EVENT_QUEUE").is_err() {
-            assert_eq!(QueueKind::from_env(), QueueKind::Calendar);
-        }
-    }
-
-    #[test]
     fn shrink_and_grow_resizes_keep_order() {
-        let mut cal = EventQueue::<u32>::new(QueueKind::Calendar);
+        let mut cal = CalendarQueue::<u32>::new();
         for i in 0..1024u64 {
             cal.push(i as f64 * 0.01, i, i as u32);
         }

@@ -30,13 +30,11 @@ use crate::cluster::ClusterSpec;
 use crate::controller::{AdaptiveSpec, ControlPolicy};
 use crate::metrics::ServingMetrics;
 use crate::scheduler::BatchPolicy;
-use crate::sim::{
-    build_rung_tables, run_serving_with_control, CostTable, RunOptions, ServiceModel,
-};
+use crate::sim::{build_rung_tables, run_event_loop, CostTable, RunOptions, ServiceModel};
 
 /// Errors from building or running a serving scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServingError(String);
+pub struct ServingError(pub(crate) String);
 
 impl fmt::Display for ServingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -57,7 +55,7 @@ fn non_negative(x: f64) -> bool {
 }
 
 /// Validates one batching policy; shared by [`ServingScenario::try_run`]
-/// and [`run_serving`]'s precondition check.
+/// and [`crate::ServingRun::try_run`].
 pub(crate) fn validate_policy(p: &BatchPolicy) -> Result<(), ServingError> {
     match *p {
         BatchPolicy::Fixed { size: 0 } => {
@@ -71,6 +69,19 @@ pub(crate) fn validate_policy(p: &BatchPolicy) -> Result<(), ServingError> {
         )),
         _ => Ok(()),
     }
+}
+
+/// Validates the options of one run.
+pub(crate) fn validate_options(o: &RunOptions) -> Result<(), ServingError> {
+    if o.trace_every == 0 {
+        return Err(ServingError(
+            "trace_every must be >= 1 (1 traces every request)".into(),
+        ));
+    }
+    if o.sla_s.is_some_and(|sla| !positive(sla)) {
+        return Err(ServingError("the SLA must be a positive latency".into()));
+    }
+    Ok(())
 }
 
 /// Validates one cluster configuration.
@@ -498,10 +509,12 @@ impl ServingScenario {
     }
 
     /// The derived arrival seed a scenario with base `seed` uses for its
-    /// `traffic_idx`-th declared traffic — pass it to
-    /// [`crate::run_serving`] / [`crate::run_serving_adaptive`] to replay
-    /// one cell's exact arrival sequence outside the grid (e.g. to inspect
-    /// raw [`crate::RequestRecord`]s).
+    /// `traffic_idx`-th declared traffic. A [`crate::ServingRun`] with this
+    /// seed, the cell's configuration and
+    /// `RunOptions::retained().with_sla(sla)` replays the cell exactly
+    /// outside the grid (to inspect raw [`crate::RequestRecord`]s, say):
+    /// [`ServingMetrics::from_outcome`] of its outcome equals the cell's
+    /// metrics.
     #[must_use]
     pub fn mix_seed_for(seed: u64, traffic_idx: u64) -> u64 {
         mix_seed(seed, traffic_idx)
@@ -777,7 +790,6 @@ impl ServingScenario {
                                     max_batch,
                                     &cost,
                                 )
-                                .map_err(ServingError)
                             })
                             .collect::<Result<Vec<_>, _>>()
                     })
@@ -819,7 +831,7 @@ impl ServingScenario {
                     None
                 };
                 let cell_started = self.profile.as_ref().map(|_| std::time::Instant::now());
-                let outcome = run_serving_with_control(
+                let outcome = run_event_loop(
                     cell_tables,
                     spec,
                     self.policies[pol],
@@ -1348,6 +1360,74 @@ mod tests {
             header.ends_with("full_precision_share,policy_switches,mean_replicas,seq,classes"),
             "{header}"
         );
+    }
+
+    /// `mix_seed_for`'s promise: each cell of a policies × clusters ×
+    /// traffics × {static, adaptive} grid, replayed as one `ServingRun` at
+    /// its traffic's derived seed with records retained and the grid's SLA,
+    /// reports exactly the cell's metrics.
+    #[test]
+    fn every_cell_replays_exactly_as_one_run() {
+        use crate::controller::ControllerConfig;
+        use crate::sim::{ServingRun, Topology};
+        use bpvec_dnn::DegradationLadder;
+        let policies = [BatchPolicy::immediate(), BatchPolicy::deadline(4, 0.002)];
+        let clusters = [
+            ClusterSpec::single(),
+            ClusterSpec::new(2, crate::Router::LeastDegraded),
+        ];
+        let traffics = [quick_traffic("steady", 50.0), quick_traffic("fast", 400.0)];
+        let spec = AdaptiveSpec::new(DegradationLadder::paper())
+            .with_controller(ControllerConfig::new(0.005).with_depths(1, 6));
+        let (seed, sla) = (0xC311, 0.05);
+        let report = ServingScenario::new("replay")
+            .platform(AcceleratorConfig::bpvec())
+            .policies(policies)
+            .clusters(clusters)
+            .traffics(traffics.clone())
+            .static_control()
+            .control(spec.clone())
+            .sla_s(sla)
+            .seed(seed)
+            .run();
+        assert_eq!(report.cells.len(), 16);
+        assert!(
+            report.cells.iter().any(|c| c.metrics.policy_switches > 0),
+            "some adaptive cell must switch rungs"
+        );
+        let mut cells = report.cells.iter();
+        for policy in policies {
+            for cluster in clusters {
+                for (i, traffic) in traffics.iter().enumerate() {
+                    for control in [None, Some(&spec)] {
+                        let cell = cells.next().expect("16 cells");
+                        let outcome = ServingRun {
+                            backend: &AcceleratorConfig::bpvec(),
+                            memory: DramSpec::ddr4(),
+                            policy,
+                            topology: Topology::Cluster(cluster),
+                            traffic,
+                            control,
+                            service: ServiceModel::Deterministic,
+                            seed: ServingScenario::mix_seed_for(seed, i as u64),
+                        }
+                        .try_run(RunOptions::retained().with_sla(Some(sla)), None)
+                        .expect("valid run");
+                        let replayed = ServingMetrics::from_outcome(
+                            &outcome,
+                            cluster.replicas,
+                            traffic.warmup,
+                            Some(sla),
+                        );
+                        assert_eq!(
+                            replayed, cell.metrics,
+                            "{policy} / {cluster} / {} / {}",
+                            cell.traffic, cell.control
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

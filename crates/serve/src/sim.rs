@@ -1,23 +1,23 @@
-//! The deterministic discrete-event core.
+//! The deterministic discrete-event core and its one entry point,
+//! [`ServingRun::try_run`].
 //!
-//! One [`run_serving`] call simulates one configuration: a traffic spec
-//! feeding a sharded cluster of replicas, each running a batch scheduler
-//! over per-class FIFO queues, with batch service times looked up from the
-//! backend's `BatchRegime` latencies (so CNN tile-spill effects shape the
-//! cost of every batch size). Everything is driven by a single seeded RNG
-//! pair and a `(time, sequence)`-ordered event queue (calendar queue by
-//! default, the original binary heap behind `BPVEC_EVENT_QUEUE=heap` —
-//! both pop the identical sequence), so a fixed seed yields a
-//! bit-identical [`ServingOutcome`] on every run.
+//! One run simulates one configuration: a traffic spec feeding a cluster
+//! (or a fleet) of replicas, each running a batch scheduler over per-class
+//! FIFO queues, with batch service times looked up from the backend's
+//! `BatchRegime` latencies (so CNN tile-spill effects shape the cost of
+//! every batch size). Everything is driven by a single seeded RNG pair and
+//! a calendar event queue ordered by `(time, sequence)`, so a fixed seed
+//! yields a bit-identical [`ServingOutcome`] on every run.
 //!
 //! Memory contract: by default the loop streams — per-request
 //! [`RequestRecord`]s are *not* retained, and latency statistics come from
 //! the O(1) [`StreamingSummary`] digest. [`RunOptions::retained`] switches
-//! record retention back on (the debug/exact axis the scenario grids and
-//! CSV goldens use).
+//! record retention back on (the exact axis the scenario grids and CSV
+//! goldens use).
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 use bpvec_obs::{TraceEvent, TraceSink};
@@ -29,8 +29,12 @@ use serde::{Deserialize, Serialize};
 use crate::arrivals::{ArrivalProcess, TrafficSpec};
 use crate::cluster::{ClusterSpec, Router};
 use crate::controller::AdaptiveSpec;
-use crate::fleet::{FleetSpec, FleetState};
-use crate::queue::{EventQueue, QueueKind};
+use crate::fleet::{validate_fleet, FleetSpec, FleetState};
+use crate::queue::CalendarQueue;
+use crate::scenario::{
+    validate_cluster, validate_control_for_cluster, validate_options, validate_policy,
+    validate_traffic, ServingError,
+};
 use crate::scheduler::BatchPolicy;
 use crate::streaming::{StreamStats, StreamingSummary};
 
@@ -104,27 +108,22 @@ pub struct ScaleEvent {
 /// How one simulation run retains state and emits telemetry.
 ///
 /// The default is the fleet-scale contract: streaming metrics only (no
-/// per-request record retention), every request traced, SLA accounting
-/// off, and the event queue picked by [`QueueKind::from_env`]. The legacy
-/// entry points ([`run_serving`] and friends) pass
-/// [`RunOptions::retained`] instead, so their exact record-based outputs
-/// are unchanged.
+/// per-request record retention), every request traced, and SLA
+/// accounting off. [`RunOptions::retained`] keeps every record for exact
+/// percentiles; [`crate::ServingScenario`] runs its cells that way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
     /// Retain a [`RequestRecord`] per request (O(n) memory; exact
     /// percentiles). Off by default.
     pub retain_records: bool,
     /// SLA the streaming pipeline counts hits against as completions
-    /// stream through (exact, not sketched).
+    /// stream through (exact, not sketched). Must be positive and finite.
     pub sla_s: Option<f64>,
     /// Trace sampling stride: only requests with `id % trace_every == 0`
     /// emit request-lane trace events (batch `exec` spans emit when they
-    /// carry at least one sampled request). `1` traces everything.
+    /// carry at least one sampled request). `1` traces everything; `0` is
+    /// rejected.
     pub trace_every: u64,
-    /// Aggregation window for the streaming peak-throughput signal.
-    pub window_s: f64,
-    /// Event-queue implementation backing the run.
-    pub queue: QueueKind,
 }
 
 impl Default for RunOptions {
@@ -133,14 +132,12 @@ impl Default for RunOptions {
             retain_records: false,
             sla_s: None,
             trace_every: 1,
-            window_s: 1.0,
-            queue: QueueKind::from_env(),
         }
     }
 }
 
 impl RunOptions {
-    /// The legacy exact configuration: full record retention.
+    /// The exact configuration: full record retention.
     #[must_use]
     pub fn retained() -> Self {
         RunOptions {
@@ -160,20 +157,6 @@ impl RunOptions {
     #[must_use]
     pub fn with_trace_every(mut self, every: u64) -> Self {
         self.trace_every = every;
-        self
-    }
-
-    /// Sets the streaming aggregation window.
-    #[must_use]
-    pub fn with_window(mut self, window_s: f64) -> Self {
-        self.window_s = window_s;
-        self
-    }
-
-    /// Pins the event-queue implementation.
-    #[must_use]
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 }
@@ -252,14 +235,20 @@ impl CostTable {
         traffic: &TrafficSpec,
         max_batch: u64,
         cost: &CostModel,
-    ) -> Self {
+    ) -> Result<Self, ServingError> {
         let networks: Vec<bpvec_dnn::Network> = traffic
             .mix
             .entries
             .iter()
-            .map(|e| e.workload.build())
-            .collect();
-        Self::build_with_networks(backend, memory, traffic, &networks, max_batch, cost)
+            .map(|e| {
+                e.workload
+                    .try_build()
+                    .map_err(|err| ServingError(format!("traffic `{}`: {err}", traffic.label)))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::build_with_networks(
+            backend, memory, traffic, &networks, max_batch, cost,
+        ))
     }
 
     /// [`CostTable::build`] with the mix's networks already instantiated
@@ -355,8 +344,8 @@ struct InFlight {
 struct Shard {
     queues: Vec<VecDeque<Request>>,
     in_flight: Option<InFlight>,
-    /// Fire time of this shard's outstanding `DeadlineCheck`, if one is in
-    /// the heap and still in the future (at most one is armed at a time).
+    /// Fire time of this shard's outstanding `DeadlineCheck`, if one is
+    /// queued and still in the future (at most one is armed at a time).
     armed_check_s: Option<f64>,
     /// Active ladder rung (0 = full precision; fixed at 0 under static
     /// control).
@@ -565,7 +554,7 @@ struct Sim<'a> {
     traffic: &'a TrafficSpec,
     router: Router,
     shards: Vec<Shard>,
-    queue: EventQueue<EventKind>,
+    queue: CalendarQueue<EventKind>,
     seq: u64,
     arrival_rng: StdRng,
     service_rng: StdRng,
@@ -601,7 +590,7 @@ struct Sim<'a> {
     energy_j: f64,
     batches: u64,
     /// Time of the last batch completion — the outcome's makespan. (The
-    /// heap can outlive it by one armed deadline check firing on an empty
+    /// queue can outlive it by one armed deadline check firing on an empty
     /// system; that no-op must not stretch the measured run.)
     last_completion_s: f64,
     /// Set (to the makespan) the moment all work is done: every request
@@ -1184,7 +1173,7 @@ impl Sim<'_> {
 
     fn on_tick(&mut self) {
         // The run is over: no decision made now can serve a request, so a
-        // trailing tick (kept alive in the heap by a stale deadline check)
+        // trailing tick (kept alive in the queue by a stale deadline check)
         // must neither switch rungs nor scale — the logs and CSV switch
         // counts only ever record decisions inside the measured run.
         if self.finished_s.is_some() {
@@ -1214,7 +1203,16 @@ impl Sim<'_> {
     }
 
     fn run(&mut self) {
-        while let Some((time, _seq, kind)) = self.queue.pop() {
+        // Every push lands at or after `now` with a fresh `seq`, and the
+        // loop drains the queue, so a correct queue pops strictly
+        // increasing `(time, seq)` keys.
+        let mut last: Option<(f64, u64)> = None;
+        while let Some((time, seq, kind)) = self.queue.pop() {
+            debug_assert!(
+                last.is_none_or(|prev| (time, seq) > prev),
+                "event ({time}, {seq}) popped after {last:?}"
+            );
+            last = Some((time, seq));
             self.events += 1;
             let dt = time - self.now;
             self.depth_integral += self.queued as f64 * dt;
@@ -1260,324 +1258,148 @@ impl Sim<'_> {
     }
 }
 
-/// Simulates one serving configuration to completion.
+/// Where a run's replicas live.
+#[derive(Debug, Clone, Copy)]
+pub enum Topology<'a> {
+    /// One cluster of replicas behind its router. Under an autoscaler the
+    /// replica count is the initial one and must lie within the
+    /// autoscaler's bounds.
+    Cluster(ClusterSpec),
+    /// Regions → clusters → replicas with tenant admission control and
+    /// spill. Fleet runs take open-loop traffic and static control only.
+    Fleet(&'a FleetSpec),
+}
+
+/// One serving simulation: a backend and its memory, a batching policy
+/// over a topology, the traffic, optional adaptive control, a service-time
+/// model and a seed.
 ///
 /// `seed` drives arrivals and mix sampling (and service jitter, from an
-/// independent stream): a fixed seed gives a bit-identical outcome, and the
-/// same seed under different policies/clusters sees the *same* arrival
-/// sequence, so policy comparisons are paired.
-///
-/// # Panics
-///
-/// Panics on a malformed configuration (zero batch size or replica count,
-/// non-positive arrival rates or mix weights, an empty trace or request
-/// mix). [`crate::ServingScenario`] performs the same checks up front and
-/// returns them as [`crate::ServingError`]s instead.
-#[must_use]
-pub fn run_serving(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    cluster: ClusterSpec,
-    traffic: &TrafficSpec,
-    service: ServiceModel,
-    seed: u64,
-) -> ServingOutcome {
-    for check in [
-        crate::scenario::validate_policy(&policy),
-        crate::scenario::validate_cluster(&cluster),
-        crate::scenario::validate_traffic(traffic),
-    ] {
-        if let Err(e) = check {
-            panic!("run_serving: {e}");
-        }
-    }
-    // One-shot runs get a private cost model; `ServingScenario` shares one
-    // table per (platform, traffic) across its whole grid instead.
-    let cost = CostModel::new();
-    let table = Arc::new(CostTable::build(
-        backend,
-        memory,
-        traffic,
-        policy.max_batch(),
-        &cost,
-    ));
-    run_serving_with_control(
-        vec![table],
-        None,
-        policy,
-        cluster,
-        traffic,
-        service,
-        seed,
-        None,
-        RunOptions::retained(),
-        None,
-    )
+/// independent stream): a fixed seed gives a bit-identical outcome, and
+/// the same seed under different policies or topologies sees the *same*
+/// arrival sequence, so comparisons are paired.
+#[derive(Clone, Copy)]
+pub struct ServingRun<'a> {
+    /// The platform that prices every batch.
+    pub backend: &'a dyn Evaluator,
+    /// Off-chip memory the backend runs with.
+    pub memory: DramSpec,
+    /// The batching policy every replica applies.
+    pub policy: BatchPolicy,
+    /// The replicas and how requests reach them.
+    pub topology: Topology<'a>,
+    /// Arrival process, request mix and request count.
+    pub traffic: &'a TrafficSpec,
+    /// Adaptive precision control: replicas start at the ladder's rung 0
+    /// and the controller (plus optional autoscaler) moves them at
+    /// runtime. `None` serves every request at the mix's own precision.
+    pub control: Option<&'a AdaptiveSpec>,
+    /// How service times vary around the modeled batch cost.
+    pub service: ServiceModel,
+    /// Seed of the arrival and service-jitter streams.
+    pub seed: u64,
 }
 
-/// [`run_serving`] with explicit [`RunOptions`] and an optional trace
-/// sink — the fleet-scale entry point. The default options stream
-/// (`records` stays empty and O(1) memory is held per run); pass
-/// [`RunOptions::retained`] to reproduce [`run_serving`] exactly.
-///
-/// # Panics
-///
-/// As [`run_serving`], plus a zero `trace_every`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_with_options(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    cluster: ClusterSpec,
-    traffic: &TrafficSpec,
-    service: ServiceModel,
-    seed: u64,
-    options: RunOptions,
-    trace: Option<&dyn TraceSink>,
-) -> ServingOutcome {
-    for check in [
-        crate::scenario::validate_policy(&policy),
-        crate::scenario::validate_cluster(&cluster),
-        crate::scenario::validate_traffic(traffic),
-    ] {
-        if let Err(e) = check {
-            panic!("run_serving_with_options: {e}");
-        }
+impl fmt::Debug for ServingRun<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ServingRun")
+            .field("backend", &self.backend.label())
+            .field("memory", &self.memory)
+            .field("policy", &self.policy)
+            .field("topology", &self.topology)
+            .field("traffic", &self.traffic.label)
+            .field("control", &self.control)
+            .field("service", &self.service)
+            .field("seed", &self.seed)
+            .finish()
     }
-    let cost = CostModel::new();
-    let table = Arc::new(CostTable::build(
-        backend,
-        memory,
-        traffic,
-        policy.max_batch(),
-        &cost,
-    ));
-    run_serving_with_control(
-        vec![table],
-        None,
-        policy,
-        cluster,
-        traffic,
-        service,
-        seed,
-        trace,
-        options,
-        None,
-    )
 }
 
-/// [`run_serving`] with every event-loop decision recorded into `trace`:
-/// request lifecycle events (`arrive`, `queue`, `complete`), per-batch
-/// `exec` spans, and `queue_depth` counter samples, one trace process per
-/// replica. Timestamps are sim-time, so identically-seeded runs emit
-/// byte-identical traces. A sink whose `enabled()` is `false` reduces this
-/// to plain [`run_serving`].
-///
-/// # Panics
-///
-/// As [`run_serving`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_traced(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    cluster: ClusterSpec,
-    traffic: &TrafficSpec,
-    service: ServiceModel,
-    seed: u64,
-    trace: &dyn TraceSink,
-) -> ServingOutcome {
-    for check in [
-        crate::scenario::validate_policy(&policy),
-        crate::scenario::validate_cluster(&cluster),
-        crate::scenario::validate_traffic(traffic),
-    ] {
-        if let Err(e) = check {
-            panic!("run_serving_traced: {e}");
-        }
+impl ServingRun<'_> {
+    /// Validates the run, prices its batches and simulates it to
+    /// completion.
+    ///
+    /// Static control builds one cost table for the mix; adaptive control
+    /// builds one per ladder rung, all through one private [`CostModel`]
+    /// ([`crate::ServingScenario`] shares its tables across a whole grid
+    /// instead). `options` picks record retention, SLA accounting and the
+    /// trace sampling stride. `trace` receives the event loop's request
+    /// lifecycle events (`arrive`, `queue`, `complete`), per-batch `exec`
+    /// spans and `queue_depth` samples, one trace process per replica,
+    /// plus `rung_switch` and `scale_up`/`scale_down` events under
+    /// adaptive control. Timestamps are sim time, so identically seeded
+    /// runs emit byte-identical traces; a sink whose `enabled()` is false
+    /// costs the same as `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServingError`] on a malformed run: a zero batch size or replica
+    /// count; a non-positive arrival rate or mix weight; an empty trace or
+    /// request mix; a mix precision or ladder rung that does not apply to
+    /// one of the mix's networks; an invalid controller or autoscaler, or
+    /// a cluster outside the autoscaler's bounds; an invalid fleet, or a
+    /// fleet with closed-loop traffic or adaptive control; a zero
+    /// `trace_every`; an SLA that is not positive and finite.
+    pub fn try_run(
+        &self,
+        options: RunOptions,
+        trace: Option<&dyn TraceSink>,
+    ) -> Result<ServingOutcome, ServingError> {
+        validate_options(&options)?;
+        validate_policy(&self.policy)?;
+        validate_traffic(self.traffic)?;
+        let (cluster, fleet) = match self.topology {
+            Topology::Cluster(cluster) => {
+                validate_cluster(&cluster)?;
+                (cluster, None)
+            }
+            Topology::Fleet(fleet) => {
+                if self.control.is_some() {
+                    return Err(ServingError(
+                        "fleet runs are static-control; adaptive control needs a cluster topology"
+                            .into(),
+                    ));
+                }
+                validate_fleet(fleet, self.traffic).map_err(ServingError)?;
+                let total = u32::try_from(fleet.total_replicas()).expect("validated <= u32::MAX");
+                (ClusterSpec::new(total, fleet.router), Some(fleet))
+            }
+        };
+        let cost = CostModel::new();
+        let max_batch = self.policy.max_batch();
+        let tables = match self.control {
+            None => vec![Arc::new(CostTable::build(
+                self.backend,
+                &self.memory,
+                self.traffic,
+                max_batch,
+                &cost,
+            )?)],
+            Some(spec) => {
+                validate_control_for_cluster(spec, &cluster)?;
+                build_rung_tables(
+                    self.backend,
+                    &self.memory,
+                    self.traffic,
+                    spec,
+                    max_batch,
+                    &cost,
+                )?
+            }
+        };
+        Ok(run_event_loop(
+            tables,
+            self.control,
+            self.policy,
+            cluster,
+            self.traffic,
+            self.service,
+            self.seed,
+            trace,
+            options,
+            fleet,
+        ))
     }
-    let cost = CostModel::new();
-    let table = Arc::new(CostTable::build(
-        backend,
-        memory,
-        traffic,
-        policy.max_batch(),
-        &cost,
-    ));
-    run_serving_with_control(
-        vec![table],
-        None,
-        policy,
-        cluster,
-        traffic,
-        service,
-        seed,
-        Some(trace),
-        RunOptions::retained(),
-        None,
-    )
-}
-
-/// [`run_serving`] under an adaptive precision controller: replicas start
-/// at the ladder's rung 0 and the spec's feedback controller (plus optional
-/// autoscaler) moves them at runtime. The returned outcome's records carry
-/// the rung each request was served at, and its switch/scale logs record
-/// every control decision.
-///
-/// `cluster.replicas` is the *initial* replica count; with an autoscaler it
-/// must lie within the spec's `[min_replicas, max_replicas]`.
-///
-/// # Panics
-///
-/// Panics on a malformed configuration — everything [`run_serving`] checks,
-/// plus an invalid controller/autoscaler and a ladder rung that does not
-/// apply to one of the mix's networks. [`crate::ServingScenario`] performs
-/// the same checks up front and returns [`crate::ServingError`]s instead.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_adaptive(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    cluster: ClusterSpec,
-    traffic: &TrafficSpec,
-    spec: &AdaptiveSpec,
-    service: ServiceModel,
-    seed: u64,
-) -> ServingOutcome {
-    for check in [
-        crate::scenario::validate_policy(&policy),
-        crate::scenario::validate_cluster(&cluster),
-        crate::scenario::validate_traffic(traffic),
-        crate::scenario::validate_control_for_cluster(spec, &cluster),
-    ] {
-        if let Err(e) = check {
-            panic!("run_serving_adaptive: {e}");
-        }
-    }
-    let cost = CostModel::new();
-    let tables = match build_rung_tables(backend, memory, traffic, spec, policy.max_batch(), &cost)
-    {
-        Ok(tables) => tables,
-        Err(e) => panic!("run_serving_adaptive: {e}"),
-    };
-    run_serving_with_control(
-        tables,
-        Some(spec),
-        policy,
-        cluster,
-        traffic,
-        service,
-        seed,
-        None,
-        RunOptions::retained(),
-        None,
-    )
-}
-
-/// [`run_serving_adaptive`] with explicit [`RunOptions`] and an optional
-/// trace sink, mirroring [`run_serving_with_options`].
-///
-/// # Panics
-///
-/// As [`run_serving_adaptive`], plus a zero `trace_every`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_adaptive_with_options(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    cluster: ClusterSpec,
-    traffic: &TrafficSpec,
-    spec: &AdaptiveSpec,
-    service: ServiceModel,
-    seed: u64,
-    options: RunOptions,
-    trace: Option<&dyn TraceSink>,
-) -> ServingOutcome {
-    for check in [
-        crate::scenario::validate_policy(&policy),
-        crate::scenario::validate_cluster(&cluster),
-        crate::scenario::validate_traffic(traffic),
-        crate::scenario::validate_control_for_cluster(spec, &cluster),
-    ] {
-        if let Err(e) = check {
-            panic!("run_serving_adaptive_with_options: {e}");
-        }
-    }
-    let cost = CostModel::new();
-    let tables = match build_rung_tables(backend, memory, traffic, spec, policy.max_batch(), &cost)
-    {
-        Ok(tables) => tables,
-        Err(e) => panic!("run_serving_adaptive_with_options: {e}"),
-    };
-    run_serving_with_control(
-        tables,
-        Some(spec),
-        policy,
-        cluster,
-        traffic,
-        service,
-        seed,
-        trace,
-        options,
-        None,
-    )
-}
-
-/// [`run_serving_adaptive`] with the event loop *and* the control plane
-/// recorded into `trace`: everything [`run_serving_traced`] emits, plus
-/// `rung_switch` instants (with a `rung` counter track) per replica and
-/// `scale_up`/`scale_down` instants (with an `active_replicas` counter)
-/// on a dedicated cluster track.
-///
-/// # Panics
-///
-/// As [`run_serving_adaptive`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_adaptive_traced(
-    backend: &dyn Evaluator,
-    memory: &DramSpec,
-    policy: BatchPolicy,
-    cluster: ClusterSpec,
-    traffic: &TrafficSpec,
-    spec: &AdaptiveSpec,
-    service: ServiceModel,
-    seed: u64,
-    trace: &dyn TraceSink,
-) -> ServingOutcome {
-    for check in [
-        crate::scenario::validate_policy(&policy),
-        crate::scenario::validate_cluster(&cluster),
-        crate::scenario::validate_traffic(traffic),
-        crate::scenario::validate_control_for_cluster(spec, &cluster),
-    ] {
-        if let Err(e) = check {
-            panic!("run_serving_adaptive_traced: {e}");
-        }
-    }
-    let cost = CostModel::new();
-    let tables = match build_rung_tables(backend, memory, traffic, spec, policy.max_batch(), &cost)
-    {
-        Ok(tables) => tables,
-        Err(e) => panic!("run_serving_adaptive_traced: {e}"),
-    };
-    run_serving_with_control(
-        tables,
-        Some(spec),
-        policy,
-        cluster,
-        traffic,
-        service,
-        seed,
-        Some(trace),
-        RunOptions::retained(),
-        None,
-    )
 }
 
 /// Builds one [`CostTable`] per ladder rung: the traffic's whole mix
@@ -1591,7 +1413,7 @@ pub(crate) fn build_rung_tables(
     spec: &AdaptiveSpec,
     max_batch: u64,
     cost: &CostModel,
-) -> Result<Vec<Arc<CostTable>>, String> {
+) -> Result<Vec<Arc<CostTable>>, ServingError> {
     spec.ladder
         .rungs()
         .iter()
@@ -1607,10 +1429,10 @@ pub(crate) fn build_rung_tables(
                 .iter()
                 .map(|entry| {
                     entry.workload.try_build().map_err(|e| {
-                        format!(
+                        ServingError(format!(
                             "traffic `{}`: ladder rung {r} ({rung_policy}): {e}",
                             traffic.label
-                        )
+                        ))
                     })
                 })
                 .collect::<Result<_, _>>()?;
@@ -1621,16 +1443,17 @@ pub(crate) fn build_rung_tables(
         .collect()
 }
 
-/// The event loop behind [`run_serving`] and [`run_serving_adaptive`],
-/// driven by prebuilt (usually shared) rung-indexed cost tables. Static
-/// control passes a single table and `None`; adaptive control passes one
-/// table per ladder rung. Every table must cover the policy's max batch
-/// for every class of `traffic`'s mix.
+/// The event loop behind [`ServingRun::try_run`] and
+/// [`crate::ServingScenario`], driven by prebuilt (in a scenario, shared)
+/// rung-indexed cost tables. Static control passes a single table and
+/// `None`; adaptive control passes one table per ladder rung. Every table
+/// must cover the policy's max batch for every class of `traffic`'s mix,
+/// and the configuration must already be validated.
 ///
 /// `trace` is normalized here: a disabled (or absent) sink becomes `None`,
 /// so every emission site in the loop costs exactly one branch when off.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serving_with_control(
+pub(crate) fn run_event_loop(
     tables: Vec<Arc<CostTable>>,
     control: Option<&AdaptiveSpec>,
     policy: BatchPolicy,
@@ -1644,7 +1467,7 @@ pub(crate) fn run_serving_with_control(
 ) -> ServingOutcome {
     debug_assert!(tables.iter().all(|t| t.covers(traffic, policy.max_batch())));
     debug_assert_eq!(tables.len(), control.map_or(1, |c| c.ladder.len()));
-    assert!(options.trace_every >= 1, "trace_every must be >= 1");
+    debug_assert!(options.trace_every >= 1, "trace_every must be >= 1");
     let trace = trace.filter(|t| t.enabled());
     let mut arrival_rng = StdRng::seed_from_u64(seed);
     let service_rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
@@ -1674,13 +1497,13 @@ pub(crate) fn run_serving_with_control(
         shards: (0..pool)
             .map(|i| Shard::new(traffic.mix.classes(), i < initial))
             .collect(),
-        queue: EventQueue::new(options.queue),
+        queue: CalendarQueue::new(),
         seq: 0,
         arrival_rng,
         service_rng,
         gen,
         options,
-        stream: StreamStats::new(traffic.mix.classes(), options.sla_s, options.window_s),
+        stream: StreamStats::new(traffic.mix.classes(), options.sla_s),
         fleet: fleet_state,
         admitted: 0,
         dropped: 0,
@@ -1836,18 +1659,31 @@ mod tests {
         )
     }
 
-    fn run(policy: BatchPolicy, process: ArrivalProcess, requests: u64) -> ServingOutcome {
-        run_serving(
-            &ConstServer {
+    /// A static one-replica run on the constant backend at seed 7, or its
+    /// error.
+    fn try_run(
+        policy: BatchPolicy,
+        process: ArrivalProcess,
+        requests: u64,
+        options: RunOptions,
+    ) -> Result<ServingOutcome, ServingError> {
+        ServingRun {
+            backend: &ConstServer {
                 per_inference_s: 1e-3,
             },
-            &DramSpec::ddr4(),
+            memory: DramSpec::ddr4(),
             policy,
-            ClusterSpec::single(),
-            &traffic(process, requests),
-            ServiceModel::Deterministic,
-            7,
-        )
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic: &traffic(process, requests),
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 7,
+        }
+        .try_run(options, None)
+    }
+
+    fn run(policy: BatchPolicy, process: ArrivalProcess, requests: u64) -> ServingOutcome {
+        try_run(policy, process, requests, RunOptions::retained()).expect("valid run")
     }
 
     #[test]
@@ -1864,14 +1700,14 @@ mod tests {
         };
         let backend = AcceleratorConfig::bpvec();
         let cost = CostModel::new();
-        let short = CostTable::build(&backend, &DramSpec::ddr4(), &t(128), 1, &cost);
+        let short = CostTable::build(&backend, &DramSpec::ddr4(), &t(128), 1, &cost).unwrap();
         // Class 0 (prefill) runs self-attention over the whole sequence;
         // class 1 (decode) serves one token. Distinct classes, distinct
         // costs.
         assert!(short.service_s(0, 1) > short.service_s(1, 1));
         // The decode entry's cost grows with the KV-cache length (more
         // stationary KV traffic and more attention MACs per step).
-        let long = CostTable::build(&backend, &DramSpec::ddr4(), &t(1024), 1, &cost);
+        let long = CostTable::build(&backend, &DramSpec::ddr4(), &t(1024), 1, &cost).unwrap();
         assert!(long.service_s(1, 1) > short.service_s(1, 1));
     }
 
@@ -2020,11 +1856,134 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "run_serving: traffic `t`: trace needs at least one non-negative gap"
-    )]
-    fn degenerate_inputs_panic_with_a_clear_message() {
-        let _ = run(BatchPolicy::immediate(), ArrivalProcess::trace(vec![]), 10);
+    fn degenerate_inputs_are_typed_errors_with_a_clear_message() {
+        let err = try_run(
+            BatchPolicy::immediate(),
+            ArrivalProcess::trace(vec![]),
+            10,
+            RunOptions::retained(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "traffic `t`: trace needs at least one non-negative gap"
+        );
+    }
+
+    #[test]
+    fn a_zero_trace_stride_is_a_typed_error() {
+        let options = RunOptions::default().with_trace_every(0);
+        let err = try_run(
+            BatchPolicy::immediate(),
+            ArrivalProcess::poisson(100.0),
+            10,
+            options,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("trace_every"), "{err}");
+    }
+
+    #[test]
+    fn an_sla_that_is_not_positive_and_finite_is_a_typed_error() {
+        for sla in [0.0, -1e-3, f64::NAN, f64::INFINITY] {
+            let options = RunOptions::default().with_sla(Some(sla));
+            let err = try_run(
+                BatchPolicy::immediate(),
+                ArrivalProcess::poisson(100.0),
+                10,
+                options,
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("SLA"), "{sla}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_fleet_under_adaptive_control_is_a_typed_error() {
+        let fleet = FleetSpec::new()
+            .region(crate::RegionSpec::new("r", 1, 2))
+            .tenant(crate::TenantClass::new("t", 1.0));
+        let spec = adaptive_spec(1e-3);
+        let err = ServingRun {
+            backend: &RungServer { full_s: 1e-3 },
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Fleet(&fleet),
+            traffic: &traffic(ArrivalProcess::poisson(100.0), 10),
+            control: Some(&spec),
+            service: ServiceModel::Deterministic,
+            seed: 1,
+        }
+        .try_run(RunOptions::default(), None)
+        .unwrap_err();
+        assert!(err.to_string().contains("static-control"), "{err}");
+    }
+
+    /// Each configuration the removed panicking entry points rejected is
+    /// an error here, never a panic.
+    #[test]
+    fn malformed_runs_are_typed_errors() {
+        let backend = RungServer { full_s: 1e-3 };
+        let ok_traffic = traffic(ArrivalProcess::poisson(100.0), 10);
+        // A per-layer policy whose width list is longer than the network.
+        let PrecisionPolicy::Uniform(int8) = "int8".parse().expect("parses") else {
+            unreachable!("int8 parses to a uniform policy")
+        };
+        let too_long = PrecisionPolicy::per_layer(vec![int8; 100]);
+        let mismatched = TrafficSpec::new(
+            "mismatched",
+            ArrivalProcess::poisson(100.0),
+            RequestMix::single(
+                Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)
+                    .with_policy(too_long.clone()),
+            ),
+            10,
+        );
+        let bad_rung = crate::AdaptiveSpec::new(
+            PrecisionPolicy::degradation_ladder([too_long]).expect("valid ladder shape"),
+        );
+        let autoscaled = adaptive_spec(1e-3).with_autoscaler(AutoscalerConfig::new(2, 4));
+        let base = ServingRun {
+            backend: &backend,
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic: &ok_traffic,
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 1,
+        };
+        let empty_fleet = FleetSpec::new();
+        let cases = [
+            ServingRun {
+                policy: BatchPolicy::fixed(0),
+                ..base
+            },
+            ServingRun {
+                topology: Topology::Cluster(ClusterSpec::new(0, Router::RoundRobin)),
+                ..base
+            },
+            ServingRun {
+                traffic: &mismatched,
+                ..base
+            },
+            ServingRun {
+                control: Some(&bad_rung),
+                ..base
+            },
+            ServingRun {
+                control: Some(&autoscaled),
+                ..base
+            },
+            ServingRun {
+                topology: Topology::Fleet(&empty_fleet),
+                ..base
+            },
+        ];
+        for run in cases {
+            assert!(run.try_run(RunOptions::default(), None).is_err(), "{run:?}");
+        }
+        assert!(base.try_run(RunOptions::default(), None).is_ok());
     }
 
     #[test]
@@ -2039,17 +1998,20 @@ mod tests {
                 1.0,
             );
         let t = TrafficSpec::new("mix", ArrivalProcess::poisson(500.0), mix, 400);
-        let out = run_serving(
-            &ConstServer {
+        let out = ServingRun {
+            backend: &ConstServer {
                 per_inference_s: 1e-3,
             },
-            &DramSpec::ddr4(),
-            BatchPolicy::immediate(),
-            ClusterSpec::new(2, Router::NetworkAffinity),
-            &t,
-            ServiceModel::Deterministic,
-            3,
-        );
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::new(2, Router::NetworkAffinity)),
+            traffic: &t,
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 3,
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         for r in &out.records {
             assert_eq!(r.shard, r.class % 2);
         }
@@ -2128,16 +2090,19 @@ mod tests {
             RequestMix::single(Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)),
             1200,
         );
-        let out = run_serving_adaptive(
-            &RungServer { full_s: s1 },
-            &DramSpec::ddr4(),
-            BatchPolicy::immediate(),
-            ClusterSpec::single(),
-            &t,
-            &adaptive_spec(s1),
-            ServiceModel::Deterministic,
-            5,
-        );
+        let spec = adaptive_spec(s1);
+        let out = ServingRun {
+            backend: &RungServer { full_s: s1 },
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic: &t,
+            control: Some(&spec),
+            service: ServiceModel::Deterministic,
+            seed: 5,
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         assert_eq!(out.records.len(), 1200);
         // The overload forces degradation...
         assert!(!out.policy_switches.is_empty());
@@ -2170,17 +2135,20 @@ mod tests {
             RequestMix::single(Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)),
             800,
         );
+        let spec = adaptive_spec(s1);
         let run = || {
-            run_serving_adaptive(
-                &RungServer { full_s: s1 },
-                &DramSpec::ddr4(),
-                BatchPolicy::deadline(4, 2.0 * s1),
-                ClusterSpec::new(2, Router::JoinShortestQueue),
-                &t,
-                &adaptive_spec(s1),
-                ServiceModel::Deterministic,
-                11,
-            )
+            ServingRun {
+                backend: &RungServer { full_s: s1 },
+                memory: DramSpec::ddr4(),
+                policy: BatchPolicy::deadline(4, 2.0 * s1),
+                topology: Topology::Cluster(ClusterSpec::new(2, Router::JoinShortestQueue)),
+                traffic: &t,
+                control: Some(&spec),
+                service: ServiceModel::Deterministic,
+                seed: 11,
+            }
+            .try_run(RunOptions::retained(), None)
+            .unwrap()
         };
         assert_eq!(run(), run());
     }
@@ -2201,16 +2169,18 @@ mod tests {
         let spec = crate::controller::AdaptiveSpec::new(ladder)
             .with_controller(ControllerConfig::new(4.0 * s1).with_depths(0, 1_000_000))
             .with_autoscaler(AutoscalerConfig::new(1, 3).with_depths(0.5, 4.0));
-        let out = run_serving_adaptive(
-            &RungServer { full_s: s1 },
-            &DramSpec::ddr4(),
-            BatchPolicy::immediate(),
-            ClusterSpec::single(),
-            &t,
-            &spec,
-            ServiceModel::Deterministic,
-            7,
-        );
+        let out = ServingRun {
+            backend: &RungServer { full_s: s1 },
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic: &t,
+            control: Some(&spec),
+            service: ServiceModel::Deterministic,
+            seed: 7,
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         assert_eq!(out.records.len(), 1800);
         let ups = out.scale_events.iter().filter(|e| e.up).count();
         let downs = out.scale_events.iter().filter(|e| !e.up).count();
@@ -2245,17 +2215,20 @@ mod tests {
         // collapses to (depth, index) — the two routers must agree exactly.
         let t = traffic(ArrivalProcess::poisson(3000.0), 1500);
         let run_with = |router| {
-            run_serving(
-                &ConstServer {
+            ServingRun {
+                backend: &ConstServer {
                     per_inference_s: 1e-3,
                 },
-                &DramSpec::ddr4(),
-                BatchPolicy::immediate(),
-                ClusterSpec::new(3, router),
-                &t,
-                ServiceModel::Deterministic,
-                13,
-            )
+                memory: DramSpec::ddr4(),
+                policy: BatchPolicy::immediate(),
+                topology: Topology::Cluster(ClusterSpec::new(3, router)),
+                traffic: &t,
+                control: None,
+                service: ServiceModel::Deterministic,
+                seed: 13,
+            }
+            .try_run(RunOptions::retained(), None)
+            .unwrap()
         };
         assert_eq!(
             run_with(Router::JoinShortestQueue),
@@ -2266,17 +2239,20 @@ mod tests {
     #[test]
     fn jsq_spreads_load_across_replicas() {
         let t = traffic(ArrivalProcess::poisson(3000.0), 2000);
-        let out = run_serving(
-            &ConstServer {
+        let out = ServingRun {
+            backend: &ConstServer {
                 per_inference_s: 1e-3,
             },
-            &DramSpec::ddr4(),
-            BatchPolicy::immediate(),
-            ClusterSpec::new(4, Router::JoinShortestQueue),
-            &t,
-            ServiceModel::Deterministic,
-            11,
-        );
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::new(4, Router::JoinShortestQueue)),
+            traffic: &t,
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 11,
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         for s in 0..4 {
             let n = out.records.iter().filter(|r| r.shard == s).count();
             assert!(n > 300, "shard {s} served only {n}");

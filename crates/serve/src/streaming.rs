@@ -191,7 +191,8 @@ pub struct StreamingSummary {
     /// Incrementally maintained latency histogram, bit-identical to
     /// [`LatencyHistogram::from_samples`] over the same stream.
     pub histogram: LatencyHistogram,
-    /// Width of the throughput aggregation window.
+    /// Width of the throughput aggregation window, seconds (1 s in every
+    /// run).
     pub window_s: f64,
     /// Highest completion rate seen in any single window.
     pub peak_window_rps: f64,
@@ -223,6 +224,10 @@ impl Default for StreamingSummary {
     }
 }
 
+/// Width of the completion-rate window behind
+/// [`StreamingSummary::peak_window_rps`], seconds.
+const WINDOW_S: f64 = 1.0;
+
 /// Live accumulator behind [`StreamingSummary`]; owned by the simulator
 /// and fed one `observe` per completion.
 #[derive(Debug)]
@@ -234,14 +239,13 @@ pub(crate) struct StreamStats {
     sla_s: Option<f64>,
     sla_hits: u64,
     class_completed: Vec<u64>,
-    window_s: f64,
     window_idx: u64,
     window_count: u64,
     peak_window: u64,
 }
 
 impl StreamStats {
-    pub(crate) fn new(classes: usize, sla_s: Option<f64>, window_s: f64) -> Self {
+    pub(crate) fn new(classes: usize, sla_s: Option<f64>) -> Self {
         Self {
             sketch: QuantileSketch::new(),
             hist_counts: vec![0; LatencyHistogram::BINS],
@@ -250,7 +254,6 @@ impl StreamStats {
             sla_s,
             sla_hits: 0,
             class_completed: vec![0; classes],
-            window_s: window_s.max(1e-9),
             window_idx: 0,
             window_count: 0,
             peak_window: 0,
@@ -271,7 +274,7 @@ impl StreamStats {
         if let Some(c) = self.class_completed.get_mut(class) {
             *c += 1;
         }
-        let idx = (now_s / self.window_s) as u64;
+        let idx = (now_s / WINDOW_S) as u64;
         if idx != self.window_idx {
             self.peak_window = self.peak_window.max(self.window_count);
             self.window_idx = idx;
@@ -301,8 +304,8 @@ impl StreamStats {
             measured_full: self.measured_full,
             class_completed: self.class_completed,
             histogram: LatencyHistogram::from_counts(self.hist_counts),
-            window_s: self.window_s,
-            peak_window_rps: self.peak_window as f64 / self.window_s,
+            window_s: WINDOW_S,
+            peak_window_rps: self.peak_window as f64 / WINDOW_S,
             tenants: Vec::new(),
             regions: Vec::new(),
         }
@@ -365,7 +368,7 @@ mod tests {
     #[test]
     fn stream_stats_histogram_matches_from_samples() {
         let samples: Vec<f64> = (1..500).map(|i| i as f64 * 3.7e-5).collect();
-        let mut st = StreamStats::new(2, Some(0.005), 1.0);
+        let mut st = StreamStats::new(2, Some(0.005));
         for (i, &v) in samples.iter().enumerate() {
             st.observe(i as f64 * 0.01, v, i % 2, i % 3 == 0);
         }
@@ -381,7 +384,7 @@ mod tests {
 
     #[test]
     fn windowed_peak_counts_the_densest_window() {
-        let mut st = StreamStats::new(1, None, 1.0);
+        let mut st = StreamStats::new(1, None);
         // 3 completions in [0,1), 7 in [1,2), 2 in [2,3).
         for i in 0..3 {
             st.observe(0.1 * i as f64, 1e-3, 0, true);

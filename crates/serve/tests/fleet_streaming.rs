@@ -15,9 +15,8 @@
 
 use bpvec_dnn::{BitwidthPolicy, Network, NetworkId};
 use bpvec_serve::{
-    run_fleet, run_serving_with_options, ArrivalProcess, BatchPolicy, ClusterSpec, FleetSpec,
-    RegionSpec, RequestMix, Router, RunOptions, ServiceModel, ServingMetrics, TenantClass,
-    TrafficSpec,
+    ArrivalProcess, BatchPolicy, ClusterSpec, FleetSpec, RegionSpec, RequestMix, Router,
+    RunOptions, ServiceModel, ServingMetrics, ServingRun, TenantClass, Topology, TrafficSpec,
 };
 use bpvec_sim::{DramSpec, Evaluator, Measurement, Workload as SimWorkload};
 use proptest::prelude::*;
@@ -85,17 +84,18 @@ proptest! {
             ArrivalProcess::poisson(rate)
         };
         let traffic = TrafficSpec::new("prop", process, mix(), requests);
-        let out = run_serving_with_options(
-            &backend(),
-            &DramSpec::ddr4(),
-            BatchPolicy::deadline(8, 0.002),
-            ClusterSpec::new(2, Router::JoinShortestQueue),
-            &traffic,
-            ServiceModel::Deterministic,
+        let out = ServingRun {
+            backend: &backend(),
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::deadline(8, 0.002),
+            topology: Topology::Cluster(ClusterSpec::new(2, Router::JoinShortestQueue)),
+            traffic: &traffic,
+            control: None,
+            service: ServiceModel::Deterministic,
             seed,
-            RunOptions::retained().with_sla(Some(0.02)),
-            None,
-        );
+        }
+        .try_run(RunOptions::retained().with_sla(Some(0.02)), None)
+        .unwrap();
         let mut exact: Vec<f64> = out.records.iter().map(|r| r.sojourn_s()).collect();
         exact.sort_by(f64::total_cmp);
         let s = &out.summary;
@@ -121,17 +121,18 @@ proptest! {
 fn streaming_runs_retain_no_records_at_any_scale() {
     for requests in [2_000u64, 20_000] {
         let traffic = TrafficSpec::new("stream", ArrivalProcess::poisson(2000.0), mix(), requests);
-        let out = run_serving_with_options(
-            &backend(),
-            &DramSpec::ddr4(),
-            BatchPolicy::deadline(8, 0.002),
-            ClusterSpec::new(4, Router::JoinShortestQueue),
-            &traffic,
-            ServiceModel::Deterministic,
-            7,
-            RunOptions::default(),
-            None,
-        );
+        let out = ServingRun {
+            backend: &backend(),
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::deadline(8, 0.002),
+            topology: Topology::Cluster(ClusterSpec::new(4, Router::JoinShortestQueue)),
+            traffic: &traffic,
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 7,
+        }
+        .try_run(RunOptions::default(), None)
+        .unwrap();
         assert!(out.records.is_empty(), "streaming run kept records");
         assert_eq!(out.peak_records_retained, 0, "record high-water not O(1)");
         assert_eq!(out.completed, requests);
@@ -155,17 +156,18 @@ fn streaming_runs_retain_no_records_at_any_scale() {
 fn streaming_and_retained_agree_on_the_same_run() {
     let traffic = TrafficSpec::new("agree", ArrivalProcess::poisson(1500.0), mix(), 5_000);
     let run = |options: RunOptions| {
-        run_serving_with_options(
-            &backend(),
-            &DramSpec::ddr4(),
-            BatchPolicy::fixed(4),
-            ClusterSpec::new(2, Router::RoundRobin),
-            &traffic,
-            ServiceModel::ExponentialJitter,
-            11,
-            options,
-            None,
-        )
+        ServingRun {
+            backend: &backend(),
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::fixed(4),
+            topology: Topology::Cluster(ClusterSpec::new(2, Router::RoundRobin)),
+            traffic: &traffic,
+            control: None,
+            service: ServiceModel::ExponentialJitter,
+            seed: 11,
+        }
+        .try_run(options, None)
+        .unwrap()
     };
     let retained = run(RunOptions::retained().with_sla(Some(0.05)));
     let streamed = run(RunOptions::default().with_sla(Some(0.05)));
@@ -217,16 +219,18 @@ fn fleet_conserves_requests_under_forced_drops() {
         requests,
     );
     let fleet = overload_fleet();
-    let out = run_fleet(
-        &backend(),
-        &DramSpec::ddr4(),
-        BatchPolicy::deadline(8, 0.002),
-        &fleet,
-        &traffic,
-        ServiceModel::Deterministic,
-        3,
-        RunOptions::default().with_sla(Some(0.02)),
-    );
+    let out = ServingRun {
+        backend: &backend(),
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::deadline(8, 0.002),
+        topology: Topology::Fleet(&fleet),
+        traffic: &traffic,
+        control: None,
+        service: ServiceModel::Deterministic,
+        seed: 3,
+    }
+    .try_run(RunOptions::default().with_sla(Some(0.02)), None)
+    .unwrap();
     assert!(out.dropped > 0, "overload must shed load");
     // Conservation: every arrival either completed or was dropped, and
     // admitted counts exactly the non-dropped arrivals.
@@ -274,16 +278,18 @@ fn fleet_runs_are_deterministic() {
     );
     let fleet = overload_fleet().with_forward_delay(2e-4);
     let run = || {
-        run_fleet(
-            &backend(),
-            &DramSpec::ddr4(),
-            BatchPolicy::deadline(8, 0.002),
-            &fleet,
-            &traffic,
-            ServiceModel::ExponentialJitter,
-            42,
-            RunOptions::default().with_sla(Some(0.02)),
-        )
+        ServingRun {
+            backend: &backend(),
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::deadline(8, 0.002),
+            topology: Topology::Fleet(&fleet),
+            traffic: &traffic,
+            control: None,
+            service: ServiceModel::ExponentialJitter,
+            seed: 42,
+        }
+        .try_run(RunOptions::default().with_sla(Some(0.02)), None)
+        .unwrap()
     };
     let a = run();
     let b = run();
@@ -293,17 +299,20 @@ fn fleet_runs_are_deterministic() {
 }
 
 #[test]
-#[should_panic(expected = "closed-loop")]
 fn fleet_rejects_closed_loop_traffic() {
     let traffic = TrafficSpec::new("closed", ArrivalProcess::closed_loop(4, 0.001), mix(), 100);
-    let _ = run_fleet(
-        &backend(),
-        &DramSpec::ddr4(),
-        BatchPolicy::immediate(),
-        &overload_fleet(),
-        &traffic,
-        ServiceModel::Deterministic,
-        0,
-        RunOptions::default(),
-    );
+    let fleet = overload_fleet();
+    let err = ServingRun {
+        backend: &backend(),
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::immediate(),
+        topology: Topology::Fleet(&fleet),
+        traffic: &traffic,
+        control: None,
+        service: ServiceModel::Deterministic,
+        seed: 0,
+    }
+    .try_run(RunOptions::default(), None)
+    .unwrap_err();
+    assert!(err.to_string().contains("closed-loop"), "{err}");
 }

@@ -15,9 +15,9 @@
 
 use bpvec_dnn::{BitwidthPolicy, Network, NetworkId, PrecisionPolicy};
 use bpvec_serve::{
-    run_serving, run_serving_adaptive, AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy,
-    ClusterSpec, ControllerConfig, RequestMix, Router, ServiceModel, ServingMetrics,
-    ServingOutcome, TrafficSpec,
+    AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy, ClusterSpec, ControllerConfig,
+    RequestMix, Router, RunOptions, ServiceModel, ServingMetrics, ServingOutcome, ServingRun,
+    Topology, TrafficSpec,
 };
 use bpvec_sim::{DramSpec, Evaluator, Measurement, Workload};
 use proptest::prelude::*;
@@ -95,17 +95,20 @@ fn outcome_for(
     seed: u64,
 ) -> ServingOutcome {
     let traffic = TrafficSpec::new("prop", process, two_class_mix(), 300);
-    run_serving(
-        &ConstServer {
+    ServingRun {
+        backend: &ConstServer {
             per_inference_s: 1e-3,
         },
-        &DramSpec::ddr4(),
+        memory: DramSpec::ddr4(),
         policy,
-        cluster,
-        &traffic,
-        ServiceModel::Deterministic,
+        topology: Topology::Cluster(cluster),
+        traffic: &traffic,
+        control: None,
+        service: ServiceModel::Deterministic,
         seed,
-    )
+    }
+    .try_run(RunOptions::retained(), None)
+    .unwrap()
 }
 
 proptest! {
@@ -259,15 +262,18 @@ proptest! {
             RequestMix::single(Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)),
             requests,
         );
-        let out = run_serving(
-            &ConstServer { per_inference_s: 1e3 },
-            &DramSpec::ddr4(),
-            BatchPolicy::immediate(),
-            ClusterSpec::new(replicas, Router::JoinShortestQueue),
-            &traffic,
-            ServiceModel::Deterministic,
+        let out = ServingRun {
+            backend: &ConstServer { per_inference_s: 1e3 },
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::new(replicas, Router::JoinShortestQueue)),
+            traffic: &traffic,
+            control: None,
+            service: ServiceModel::Deterministic,
             seed,
-        );
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         prop_assert_eq!(out.records.len() as u64, requests);
         for r in &out.records {
             prop_assert_eq!(
@@ -296,16 +302,18 @@ proptest! {
             RequestMix::single(Workload::new(NetworkId::Rnn, BitwidthPolicy::Homogeneous8)),
             400,
         );
-        let out = run_serving_adaptive(
-            &RungServer { full_s: 1e-3 },
-            &DramSpec::ddr4(),
+        let out = ServingRun {
+            backend: &RungServer { full_s: 1e-3 },
+            memory: DramSpec::ddr4(),
             policy,
-            ClusterSpec::single(),
-            &traffic,
-            &spec,
-            ServiceModel::Deterministic,
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic: &traffic,
+            control: Some(&spec),
+            service: ServiceModel::Deterministic,
             seed,
-        );
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         let mut ids: Vec<u64> = out.records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..400).collect::<Vec<u64>>());
@@ -323,6 +331,23 @@ proptest! {
     }
 }
 
+/// One replica dispatching immediately on a constant `s`-second backend,
+/// at seed 42, records retained.
+fn single_replica(traffic: &TrafficSpec, s: f64, service: ServiceModel) -> ServingOutcome {
+    ServingRun {
+        backend: &ConstServer { per_inference_s: s },
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::immediate(),
+        topology: Topology::Cluster(ClusterSpec::single()),
+        traffic,
+        control: None,
+        service,
+        seed: 42,
+    }
+    .try_run(RunOptions::retained(), None)
+    .unwrap()
+}
+
 /// M/M/1: Poisson arrivals, exponential service, one server, no batching.
 /// Closed form: mean sojourn `T = 1/(μ − λ)`.
 #[test]
@@ -336,15 +361,7 @@ fn mm1_mean_sojourn_matches_closed_form_within_5pct() {
         60_000,
     )
     .with_warmup(5_000);
-    let out = run_serving(
-        &ConstServer { per_inference_s: s },
-        &DramSpec::ddr4(),
-        BatchPolicy::immediate(),
-        ClusterSpec::single(),
-        &traffic,
-        ServiceModel::ExponentialJitter,
-        42,
-    );
+    let out = single_replica(&traffic, s, ServiceModel::ExponentialJitter);
     let m = ServingMetrics::from_outcome(&out, 1, traffic.warmup, None);
     let expect = 1.0 / (1.0 / s - lambda); // 2.5 ms
     let rel = (m.latency.mean_s - expect).abs() / expect;
@@ -373,15 +390,7 @@ fn md1_mean_sojourn_matches_closed_form_within_5pct() {
         60_000,
     )
     .with_warmup(5_000);
-    let out = run_serving(
-        &ConstServer { per_inference_s: s },
-        &DramSpec::ddr4(),
-        BatchPolicy::immediate(),
-        ClusterSpec::single(),
-        &traffic,
-        ServiceModel::Deterministic,
-        42,
-    );
+    let out = single_replica(&traffic, s, ServiceModel::Deterministic);
     let m = ServingMetrics::from_outcome(&out, 1, traffic.warmup, None);
     let expect = s + rho * s / (2.0 * (1.0 - rho)); // 1.375 ms
     let rel = (m.latency.mean_s - expect).abs() / expect;
@@ -423,15 +432,18 @@ fn dynamic_batching_beats_immediate_p99_under_high_load() {
     )
     .with_warmup(150);
     let run = |policy| {
-        let out = run_serving(
-            &accel,
-            &DramSpec::ddr4(),
+        let out = ServingRun {
+            backend: &accel,
+            memory: DramSpec::ddr4(),
             policy,
-            ClusterSpec::single(),
-            &traffic,
-            ServiceModel::Deterministic,
-            9,
-        );
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic: &traffic,
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 9,
+        }
+        .try_run(RunOptions::retained(), None)
+        .unwrap();
         ServingMetrics::from_outcome(&out, 1, traffic.warmup, None)
     };
     let immediate = run(BatchPolicy::immediate());

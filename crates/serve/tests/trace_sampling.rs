@@ -5,8 +5,8 @@
 use bpvec_dnn::{BitwidthPolicy, Network, NetworkId};
 use bpvec_obs::{MemorySink, Phase, TraceSink};
 use bpvec_serve::{
-    run_serving_traced, run_serving_with_options, ArrivalProcess, BatchPolicy, ClusterSpec,
-    RequestMix, Router, RunOptions, ServiceModel, TrafficSpec,
+    ArrivalProcess, BatchPolicy, ClusterSpec, RequestMix, Router, RunOptions, ServiceModel,
+    ServingRun, Topology, TrafficSpec,
 };
 use bpvec_sim::{DramSpec, Evaluator, Measurement, Workload};
 
@@ -40,20 +40,30 @@ fn traffic(requests: u64) -> TrafficSpec {
     )
 }
 
-fn run_sampled(requests: u64, trace_every: u64) -> MemorySink {
+/// Two replicas under deadline batching at seed 9, traced into a fresh
+/// sink.
+fn run_traced(requests: u64, options: RunOptions) -> MemorySink {
     let sink = MemorySink::new();
-    let _ = run_serving_with_options(
-        &ConstServer,
-        &DramSpec::ddr4(),
-        BatchPolicy::deadline(8, 0.002),
-        ClusterSpec::new(2, Router::JoinShortestQueue),
-        &traffic(requests),
-        ServiceModel::Deterministic,
-        9,
-        RunOptions::default().with_trace_every(trace_every),
-        Some(&sink as &dyn TraceSink),
-    );
+    ServingRun {
+        backend: &ConstServer,
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::deadline(8, 0.002),
+        topology: Topology::Cluster(ClusterSpec::new(2, Router::JoinShortestQueue)),
+        traffic: &traffic(requests),
+        control: None,
+        service: ServiceModel::Deterministic,
+        seed: 9,
+    }
+    .try_run(options, Some(&sink as &dyn TraceSink))
+    .unwrap();
     sink
+}
+
+fn run_sampled(requests: u64, trace_every: u64) -> MemorySink {
+    run_traced(
+        requests,
+        RunOptions::default().with_trace_every(trace_every),
+    )
 }
 
 #[test]
@@ -106,18 +116,8 @@ fn sampled_exec_spans_still_pair() {
 fn stride_one_matches_the_unsampled_trace_byte_for_byte() {
     let requests = 2_000u64;
     let via_options = run_sampled(requests, 1);
-    let legacy = MemorySink::new();
-    // The legacy traced entry point retains records; tracing is unaffected
-    // by retention, so the streams must still agree byte for byte.
-    let _ = run_serving_traced(
-        &ConstServer,
-        &DramSpec::ddr4(),
-        BatchPolicy::deadline(8, 0.002),
-        ClusterSpec::new(2, Router::JoinShortestQueue),
-        &traffic(requests),
-        ServiceModel::Deterministic,
-        9,
-        &legacy,
-    );
-    assert_eq!(via_options.to_chrome_json(), legacy.to_chrome_json());
+    // Tracing is unaffected by record retention, so a retained run's
+    // stream must agree with the streaming one byte for byte.
+    let retained = run_traced(requests, RunOptions::retained());
+    assert_eq!(via_options.to_chrome_json(), retained.to_chrome_json());
 }

@@ -25,11 +25,10 @@
 //!   <https://ui.perfetto.dev>.
 
 use bpvec::dnn::{BitwidthPolicy, NetworkId, PrecisionPolicy};
-use bpvec::obs::{validate_spans, MemorySink, Phase};
+use bpvec::obs::{validate_spans, MemorySink, Phase, TraceSink};
 use bpvec::serve::{
-    run_serving_adaptive, run_serving_adaptive_traced, AdaptiveSpec, ArrivalProcess,
-    AutoscalerConfig, BatchPolicy, ClusterSpec, ControllerConfig, RequestMix, ServiceModel,
-    ServingScenario, TrafficSpec,
+    AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy, ClusterSpec, ControllerConfig,
+    RequestMix, RunOptions, ServiceModel, ServingRun, ServingScenario, Topology, TrafficSpec,
 };
 use bpvec::sim::{AcceleratorConfig, BatchRegime, DramSpec, Evaluator, Workload};
 
@@ -137,21 +136,24 @@ fn main() {
     let (stat, adap) = (goodput("static"), goodput("adaptive"));
 
     // Pre-overload fidelity needs raw records, which report cells don't
-    // carry — replay the adaptive cell through the low-level API. The
-    // goodput cross-check below fails if this replay ever drifts from the
-    // scenario cell's configuration.
-    let outcome = run_serving_adaptive(
-        &accel,
-        &dram,
+    // carry — replay the adaptive cell as one run. The goodput
+    // cross-check below fails if this replay ever drifts from the scenario
+    // cell's configuration.
+    let replay = ServingRun {
+        backend: &accel,
+        memory: dram,
         policy,
-        cluster,
-        &traffic,
-        &spec,
-        ServiceModel::Deterministic,
+        topology: Topology::Cluster(cluster),
+        traffic: &traffic,
+        control: Some(&spec),
+        service: ServiceModel::Deterministic,
         // The scenario seeds arrivals per traffic entry; traffic index 0
         // under the scenario seed reproduces identical arrivals.
-        bpvec::serve::ServingScenario::mix_seed_for(seed, 0),
-    );
+        seed: ServingScenario::mix_seed_for(seed, 0),
+    };
+    let outcome = replay
+        .try_run(RunOptions::retained(), None)
+        .expect("the adaptive cell's configuration is valid");
     let raw =
         bpvec::serve::ServingMetrics::from_outcome(&outcome, cluster.replicas, 0, Some(sla_s));
     assert!(
@@ -202,17 +204,13 @@ fn main() {
     );
     let autoscaled = spec.clone().with_autoscaler(AutoscalerConfig::new(1, 3));
     let sink = MemorySink::new();
-    let outcome3 = run_serving_adaptive_traced(
-        &accel,
-        &dram,
-        policy,
-        cluster,
-        &traffic4,
-        &autoscaled,
-        ServiceModel::Deterministic,
-        bpvec::serve::ServingScenario::mix_seed_for(seed, 0),
-        &sink,
-    );
+    let outcome3 = ServingRun {
+        traffic: &traffic4,
+        control: Some(&autoscaled),
+        ..replay
+    }
+    .try_run(RunOptions::retained(), Some(&sink as &dyn TraceSink))
+    .expect("the autoscaled replay is valid");
     let mut active = 1i64;
     let mut peak = active;
     for e in &outcome3.scale_events {

@@ -5,8 +5,9 @@
 
 use bpvec::dnn::{BitwidthPolicy, NetworkId, PrecisionPolicy};
 use bpvec::serve::{
-    run_serving_adaptive, AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy, ClusterSpec,
-    ControllerConfig, RequestMix, Router, ServiceModel, ServingScenario, TrafficSpec,
+    AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy, ClusterSpec, ControllerConfig,
+    RequestMix, Router, RunOptions, ServiceModel, ServingRun, ServingScenario, Topology,
+    TrafficSpec,
 };
 use bpvec::sim::{AcceleratorConfig, BatchRegime, DramSpec, Evaluator, Workload};
 
@@ -130,16 +131,19 @@ fn adaptive_degrades_under_overload_and_beats_static_goodput() {
 #[test]
 fn controller_recovers_to_full_precision_after_the_burst() {
     let cap = capacity_rps();
-    let out = run_serving_adaptive(
-        &AcceleratorConfig::bpvec(),
-        &DramSpec::ddr4(),
-        BatchPolicy::deadline(16, 0.008),
-        ClusterSpec::single(),
-        &step_traffic(cap),
-        &AdaptiveSpec::new(ladder()).with_controller(controller()),
-        ServiceModel::Deterministic,
-        0xFEED,
-    );
+    let spec = AdaptiveSpec::new(ladder()).with_controller(controller());
+    let out = ServingRun {
+        backend: &AcceleratorConfig::bpvec(),
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::deadline(16, 0.008),
+        topology: Topology::Cluster(ClusterSpec::single()),
+        traffic: &step_traffic(cap),
+        control: Some(&spec),
+        service: ServiceModel::Deterministic,
+        seed: 0xFEED,
+    }
+    .try_run(RunOptions::retained(), None)
+    .unwrap();
     assert!(!out.policy_switches.is_empty());
     assert_eq!(out.policy_switches[0].to_rung, 1, "first move degrades");
     assert_eq!(
@@ -201,16 +205,19 @@ fn least_degraded_router_keeps_full_precision_majority_on_a_half_loaded_pair() {
         )),
         2_000,
     );
-    let out = run_serving_adaptive(
-        &AcceleratorConfig::bpvec(),
-        &DramSpec::ddr4(),
-        BatchPolicy::deadline(16, 0.008),
-        ClusterSpec::new(2, Router::LeastDegraded),
-        &traffic,
-        &AdaptiveSpec::new(ladder()).with_controller(controller()),
-        ServiceModel::Deterministic,
-        7,
-    );
+    let spec = AdaptiveSpec::new(ladder()).with_controller(controller());
+    let out = ServingRun {
+        backend: &AcceleratorConfig::bpvec(),
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::deadline(16, 0.008),
+        topology: Topology::Cluster(ClusterSpec::new(2, Router::LeastDegraded)),
+        traffic: &traffic,
+        control: Some(&spec),
+        service: ServiceModel::Deterministic,
+        seed: 7,
+    }
+    .try_run(RunOptions::retained(), None)
+    .unwrap();
     let full = out.records.iter().filter(|r| r.rung == 0).count();
     let share = full as f64 / out.records.len() as f64;
     assert!(

@@ -5,10 +5,12 @@
 use std::sync::Arc;
 
 use bpvec::dnn::{BitwidthPolicy, Network, NetworkId, PrecisionPolicy};
+use bpvec::obs::TraceSink;
 use bpvec::obs::{to_chrome_json, validate_spans, MemorySink, Phase};
 use bpvec::serve::{
-    run_serving_adaptive_traced, AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy,
-    ClusterSpec, ControllerConfig, RequestMix, Router, ServiceModel, ServingScenario, TrafficSpec,
+    AdaptiveSpec, ArrivalProcess, AutoscalerConfig, BatchPolicy, ClusterSpec, ControllerConfig,
+    RequestMix, Router, RunOptions, ServiceModel, ServingRun, ServingScenario, Topology,
+    TrafficSpec,
 };
 use bpvec::sim::{AcceleratorConfig, DramSpec, Evaluator, Measurement, Workload};
 
@@ -113,17 +115,18 @@ fn autoscaled_adaptive_trace_covers_the_event_vocabulary() {
     );
 
     let sink = MemorySink::new();
-    let outcome = run_serving_adaptive_traced(
-        &RungServer,
-        &DramSpec::ddr4(),
-        BatchPolicy::immediate(),
-        ClusterSpec::single(),
-        &traffic,
-        &spec,
-        ServiceModel::Deterministic,
-        17,
-        &sink,
-    );
+    let outcome = ServingRun {
+        backend: &RungServer,
+        memory: DramSpec::ddr4(),
+        policy: BatchPolicy::immediate(),
+        topology: Topology::Cluster(ClusterSpec::single()),
+        traffic: &traffic,
+        control: Some(&spec),
+        service: ServiceModel::Deterministic,
+        seed: 17,
+    }
+    .try_run(RunOptions::retained(), Some(&sink as &dyn TraceSink))
+    .unwrap();
 
     let mut active = 1i64;
     let mut peak = active;
