@@ -1659,6 +1659,26 @@ mod tests {
         )
     }
 
+    /// A static run of `traffic` on one replica dispatching immediately,
+    /// with deterministic service at seed 7; tests override fields by
+    /// struct update.
+    fn base<'a>(backend: &'a dyn Evaluator, traffic: &'a TrafficSpec) -> ServingRun<'a> {
+        ServingRun {
+            backend,
+            memory: DramSpec::ddr4(),
+            policy: BatchPolicy::immediate(),
+            topology: Topology::Cluster(ClusterSpec::single()),
+            traffic,
+            control: None,
+            service: ServiceModel::Deterministic,
+            seed: 7,
+        }
+    }
+
+    const CONST_1MS: ConstServer = ConstServer {
+        per_inference_s: 1e-3,
+    };
+
     /// A static one-replica run on the constant backend at seed 7, or its
     /// error.
     fn try_run(
@@ -1667,17 +1687,10 @@ mod tests {
         requests: u64,
         options: RunOptions,
     ) -> Result<ServingOutcome, ServingError> {
+        let t = traffic(process, requests);
         ServingRun {
-            backend: &ConstServer {
-                per_inference_s: 1e-3,
-            },
-            memory: DramSpec::ddr4(),
             policy,
-            topology: Topology::Cluster(ClusterSpec::single()),
-            traffic: &traffic(process, requests),
-            control: None,
-            service: ServiceModel::Deterministic,
-            seed: 7,
+            ..base(&CONST_1MS, &t)
         }
         .try_run(options, None)
     }
@@ -1904,15 +1917,11 @@ mod tests {
             .region(crate::RegionSpec::new("r", 1, 2))
             .tenant(crate::TenantClass::new("t", 1.0));
         let spec = adaptive_spec(1e-3);
+        let t = traffic(ArrivalProcess::poisson(100.0), 10);
         let err = ServingRun {
-            backend: &RungServer { full_s: 1e-3 },
-            memory: DramSpec::ddr4(),
-            policy: BatchPolicy::immediate(),
             topology: Topology::Fleet(&fleet),
-            traffic: &traffic(ArrivalProcess::poisson(100.0), 10),
             control: Some(&spec),
-            service: ServiceModel::Deterministic,
-            seed: 1,
+            ..base(&RungServer { full_s: 1e-3 }, &t)
         }
         .try_run(RunOptions::default(), None)
         .unwrap_err();
@@ -1943,47 +1952,38 @@ mod tests {
             PrecisionPolicy::degradation_ladder([too_long]).expect("valid ladder shape"),
         );
         let autoscaled = adaptive_spec(1e-3).with_autoscaler(AutoscalerConfig::new(2, 4));
-        let base = ServingRun {
-            backend: &backend,
-            memory: DramSpec::ddr4(),
-            policy: BatchPolicy::immediate(),
-            topology: Topology::Cluster(ClusterSpec::single()),
-            traffic: &ok_traffic,
-            control: None,
-            service: ServiceModel::Deterministic,
-            seed: 1,
-        };
+        let ok = base(&backend, &ok_traffic);
         let empty_fleet = FleetSpec::new();
         let cases = [
             ServingRun {
                 policy: BatchPolicy::fixed(0),
-                ..base
+                ..ok
             },
             ServingRun {
                 topology: Topology::Cluster(ClusterSpec::new(0, Router::RoundRobin)),
-                ..base
+                ..ok
             },
             ServingRun {
                 traffic: &mismatched,
-                ..base
+                ..ok
             },
             ServingRun {
                 control: Some(&bad_rung),
-                ..base
+                ..ok
             },
             ServingRun {
                 control: Some(&autoscaled),
-                ..base
+                ..ok
             },
             ServingRun {
                 topology: Topology::Fleet(&empty_fleet),
-                ..base
+                ..ok
             },
         ];
         for run in cases {
             assert!(run.try_run(RunOptions::default(), None).is_err(), "{run:?}");
         }
-        assert!(base.try_run(RunOptions::default(), None).is_ok());
+        assert!(ok.try_run(RunOptions::default(), None).is_ok());
     }
 
     #[test]
@@ -1999,16 +1999,9 @@ mod tests {
             );
         let t = TrafficSpec::new("mix", ArrivalProcess::poisson(500.0), mix, 400);
         let out = ServingRun {
-            backend: &ConstServer {
-                per_inference_s: 1e-3,
-            },
-            memory: DramSpec::ddr4(),
-            policy: BatchPolicy::immediate(),
             topology: Topology::Cluster(ClusterSpec::new(2, Router::NetworkAffinity)),
-            traffic: &t,
-            control: None,
-            service: ServiceModel::Deterministic,
             seed: 3,
+            ..base(&CONST_1MS, &t)
         }
         .try_run(RunOptions::retained(), None)
         .unwrap();
@@ -2092,14 +2085,9 @@ mod tests {
         );
         let spec = adaptive_spec(s1);
         let out = ServingRun {
-            backend: &RungServer { full_s: s1 },
-            memory: DramSpec::ddr4(),
-            policy: BatchPolicy::immediate(),
-            topology: Topology::Cluster(ClusterSpec::single()),
-            traffic: &t,
             control: Some(&spec),
-            service: ServiceModel::Deterministic,
             seed: 5,
+            ..base(&RungServer { full_s: s1 }, &t)
         }
         .try_run(RunOptions::retained(), None)
         .unwrap();
@@ -2138,14 +2126,11 @@ mod tests {
         let spec = adaptive_spec(s1);
         let run = || {
             ServingRun {
-                backend: &RungServer { full_s: s1 },
-                memory: DramSpec::ddr4(),
                 policy: BatchPolicy::deadline(4, 2.0 * s1),
                 topology: Topology::Cluster(ClusterSpec::new(2, Router::JoinShortestQueue)),
-                traffic: &t,
                 control: Some(&spec),
-                service: ServiceModel::Deterministic,
                 seed: 11,
+                ..base(&RungServer { full_s: s1 }, &t)
             }
             .try_run(RunOptions::retained(), None)
             .unwrap()
@@ -2170,14 +2155,8 @@ mod tests {
             .with_controller(ControllerConfig::new(4.0 * s1).with_depths(0, 1_000_000))
             .with_autoscaler(AutoscalerConfig::new(1, 3).with_depths(0.5, 4.0));
         let out = ServingRun {
-            backend: &RungServer { full_s: s1 },
-            memory: DramSpec::ddr4(),
-            policy: BatchPolicy::immediate(),
-            topology: Topology::Cluster(ClusterSpec::single()),
-            traffic: &t,
             control: Some(&spec),
-            service: ServiceModel::Deterministic,
-            seed: 7,
+            ..base(&RungServer { full_s: s1 }, &t)
         }
         .try_run(RunOptions::retained(), None)
         .unwrap();
@@ -2216,16 +2195,9 @@ mod tests {
         let t = traffic(ArrivalProcess::poisson(3000.0), 1500);
         let run_with = |router| {
             ServingRun {
-                backend: &ConstServer {
-                    per_inference_s: 1e-3,
-                },
-                memory: DramSpec::ddr4(),
-                policy: BatchPolicy::immediate(),
                 topology: Topology::Cluster(ClusterSpec::new(3, router)),
-                traffic: &t,
-                control: None,
-                service: ServiceModel::Deterministic,
                 seed: 13,
+                ..base(&CONST_1MS, &t)
             }
             .try_run(RunOptions::retained(), None)
             .unwrap()
@@ -2240,16 +2212,9 @@ mod tests {
     fn jsq_spreads_load_across_replicas() {
         let t = traffic(ArrivalProcess::poisson(3000.0), 2000);
         let out = ServingRun {
-            backend: &ConstServer {
-                per_inference_s: 1e-3,
-            },
-            memory: DramSpec::ddr4(),
-            policy: BatchPolicy::immediate(),
             topology: Topology::Cluster(ClusterSpec::new(4, Router::JoinShortestQueue)),
-            traffic: &t,
-            control: None,
-            service: ServiceModel::Deterministic,
             seed: 11,
+            ..base(&CONST_1MS, &t)
         }
         .try_run(RunOptions::retained(), None)
         .unwrap();
