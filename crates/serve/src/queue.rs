@@ -1,8 +1,8 @@
 //! The serving simulator's event queue.
 //!
-//! The event loop once drove a flat `BinaryHeap`, whose O(log n) pops
-//! start to hurt once a fleet run pushes 10^7–10^8 events through it. The
-//! `CalendarQueue` here is the classic Brown calendar queue: events hash
+//! A binary heap's O(log n) pops start to hurt once a fleet run pushes
+//! 10^7–10^8 events through the loop. The `CalendarQueue` here is the
+//! classic Brown calendar queue: events hash
 //! into time-bucketed "days" of a rotating "year", so push and pop are
 //! O(1) amortized while the bucket width tracks the mean event spacing.
 //!
