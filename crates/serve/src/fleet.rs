@@ -273,7 +273,6 @@ struct TenantAcc {
     arrived: u64,
     dropped: u64,
     completed: u64,
-    sum_s: f64,
     sketch: QuantileSketch,
     sla_hits: u64,
 }
@@ -285,7 +284,6 @@ struct RegionAcc {
     arrived: u64,
     dropped: u64,
     completed: u64,
-    sum_s: f64,
     sketch: QuantileSketch,
     busy_s: f64,
 }
@@ -349,7 +347,6 @@ impl FleetState {
                     arrived: 0,
                     dropped: 0,
                     completed: 0,
-                    sum_s: 0.0,
                     sketch: QuantileSketch::new(),
                     sla_hits: 0,
                 })
@@ -362,7 +359,6 @@ impl FleetState {
                     arrived: 0,
                     dropped: 0,
                     completed: 0,
-                    sum_s: 0.0,
                     sketch: QuantileSketch::new(),
                     busy_s: 0.0,
                 })
@@ -485,7 +481,6 @@ impl FleetState {
         r.in_system -= 1;
         r.completed += 1;
         if measured {
-            t.sum_s += sojourn_s;
             t.sketch.observe(sojourn_s);
             if self.spec.tenants[tenant]
                 .sla_s
@@ -493,7 +488,6 @@ impl FleetState {
             {
                 t.sla_hits += 1;
             }
-            r.sum_s += sojourn_s;
             r.sketch.observe(sojourn_s);
         }
     }
@@ -505,24 +499,17 @@ impl FleetState {
             .tenants
             .iter()
             .zip(&self.tenants)
-            .map(|(spec, acc)| {
-                let measured = acc.sketch.count();
-                TenantRollup {
-                    label: spec.label.clone(),
-                    arrived: acc.arrived,
-                    dropped: acc.dropped,
-                    completed: acc.completed,
-                    measured,
-                    mean_s: if measured == 0 {
-                        0.0
-                    } else {
-                        acc.sum_s / measured as f64
-                    },
-                    p99_s: acc.sketch.quantile(0.99),
-                    max_s: acc.sketch.max(),
-                    sla_s: spec.sla_s,
-                    sla_hits: acc.sla_hits,
-                }
+            .map(|(spec, acc)| TenantRollup {
+                label: spec.label.clone(),
+                arrived: acc.arrived,
+                dropped: acc.dropped,
+                completed: acc.completed,
+                measured: acc.sketch.count(),
+                mean_s: acc.sketch.mean(),
+                p99_s: acc.sketch.quantile(0.99),
+                max_s: acc.sketch.max(),
+                sla_s: spec.sla_s,
+                sla_hits: acc.sla_hits,
             })
             .collect();
         let regions = self
@@ -530,23 +517,16 @@ impl FleetState {
             .regions
             .iter()
             .zip(&self.regions)
-            .map(|(spec, acc)| {
-                let measured = acc.sketch.count();
-                RegionRollup {
-                    label: spec.label.clone(),
-                    replicas: spec.clusters * spec.replicas_per_cluster,
-                    arrived: acc.arrived,
-                    dropped: acc.dropped,
-                    completed: acc.completed,
-                    measured,
-                    mean_s: if measured == 0 {
-                        0.0
-                    } else {
-                        acc.sum_s / measured as f64
-                    },
-                    p99_s: acc.sketch.quantile(0.99),
-                    busy_s: acc.busy_s,
-                }
+            .map(|(spec, acc)| RegionRollup {
+                label: spec.label.clone(),
+                replicas: spec.clusters * spec.replicas_per_cluster,
+                arrived: acc.arrived,
+                dropped: acc.dropped,
+                completed: acc.completed,
+                measured: acc.sketch.count(),
+                mean_s: acc.sketch.mean(),
+                p99_s: acc.sketch.quantile(0.99),
+                busy_s: acc.busy_s,
             })
             .collect();
         (tenants, regions)

@@ -53,8 +53,8 @@
 //!   inter-tier forwarding latency;
 //! * [`metrics`] — [`ServingMetrics`]: tail latencies, utilization, queue
 //!   depth, energy per request, goodput under an SLA, time-in-policy,
-//!   degraded-request share, switch counts — summarized from exact records
-//!   or the streaming digest, whichever the run kept;
+//!   degraded-request share, switch counts — summarized from the run's
+//!   streaming digest, the one latency pipeline;
 //! * [`scenario`] — the [`ServingScenario`] builder mirroring
 //!   [`bpvec_sim::Scenario`]: declare platforms × policies × clusters ×
 //!   traffics (× precisions) (× controls), run the grid rayon-parallel,

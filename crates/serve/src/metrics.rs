@@ -1,6 +1,9 @@
 //! The metrics pipeline: summarizing a raw [`ServingOutcome`] into the
 //! numbers a capacity planner reads — tail latency, utilization, queue
 //! depth, energy per request, and goodput under an SLA.
+//!
+//! Latency and SLA figures come from the run's streaming digest
+//! ([`ServingOutcome::summary`]); per-request records never feed a metric.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,48 +134,18 @@ pub struct ServingMetrics {
     pub mean_active_replicas: f64,
 }
 
-/// Nearest-rank quantile via O(n) selection — no full sort. Reorders `v`.
-fn select_quantile(v: &mut [f64], q: f64) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
-    *v.select_nth_unstable_by(rank - 1, f64::total_cmp).1
-}
-
-/// What either latency path (exact records or streaming digest) yields:
-/// `(measured, measured_full, latency, histogram, within_sla)`.
-type LatencySummary = (u64, u64, LatencyStats, LatencyHistogram, f64);
-
 impl ServingMetrics {
     /// Summarizes a raw outcome. `replicas` is the cluster size the outcome
-    /// ran on (for utilization), `warmup` the number of leading admissions
-    /// excluded from latency statistics, `sla_s` the latency objective.
+    /// ran on (for utilization).
     ///
-    /// Outcomes with retained records get exact percentiles from the
-    /// records; streaming outcomes (no records) are summarized from
-    /// [`ServingOutcome::summary`], whose warmup cut was fixed at run time
-    /// (the `warmup` argument only filters the record path). On the
-    /// streaming path the SLA count is exact when `sla_s` matches the
-    /// SLA the run streamed with, else interpolated from the histogram.
+    /// Latency statistics, the histogram, the measured counts and SLA
+    /// attainment come from [`ServingOutcome::summary`]: the run cut its
+    /// warmup and counted SLA hits against [`crate::RunOptions::sla_s`] as
+    /// completions streamed, so attainment is 1 for a run without an SLA.
     #[must_use]
-    pub fn from_outcome(
-        outcome: &ServingOutcome,
-        replicas: u32,
-        warmup: u64,
-        sla_s: Option<f64>,
-    ) -> Self {
-        let streamed = outcome.records.is_empty() && outcome.completed > 0;
-        let completed = if streamed {
-            outcome.completed
-        } else {
-            outcome.records.len() as u64
-        };
-        let (measured, measured_full, latency, histogram, within_sla) = if streamed {
-            Self::latency_from_stream(&outcome.summary, sla_s)
-        } else {
-            Self::latency_from_records(outcome, warmup, sla_s)
-        };
+    pub fn from_outcome(outcome: &ServingOutcome, replicas: u32) -> Self {
+        let summary = &outcome.summary;
+        let (completed, measured) = (outcome.completed, summary.measured);
         let makespan_s = outcome.makespan_s;
         let throughput_rps = if makespan_s > 0.0 {
             completed as f64 / makespan_s
@@ -180,12 +153,12 @@ impl ServingMetrics {
             0.0
         };
         let sla_attainment = if measured > 0 {
-            within_sla / measured as f64
+            summary.sla_hits as f64 / measured as f64
         } else {
             1.0
         };
         let full_precision_share = if measured > 0 {
-            measured_full as f64 / measured as f64
+            summary.measured_full as f64 / measured as f64
         } else {
             1.0
         };
@@ -211,8 +184,14 @@ impl ServingMetrics {
             measured,
             makespan_s,
             throughput_rps,
-            histogram,
-            latency,
+            latency: LatencyStats {
+                mean_s: summary.mean_s,
+                p50_s: summary.p50_s,
+                p95_s: summary.p95_s,
+                p99_s: summary.p99_s,
+                max_s: summary.max_s,
+            },
+            histogram: summary.histogram.clone(),
             mean_queue_depth: if makespan_s > 0.0 {
                 outcome.depth_integral / makespan_s
             } else {
@@ -251,181 +230,83 @@ impl ServingMetrics {
             },
         }
     }
-
-    /// Exact latency summary from retained records: one pass gathers the
-    /// post-warmup sojourns while accumulating the mean, max, histogram,
-    /// SLA hits, and rung shares, then each quantile is an O(n) selection
-    /// instead of a full sort.
-    fn latency_from_records(
-        outcome: &ServingOutcome,
-        warmup: u64,
-        sla_s: Option<f64>,
-    ) -> LatencySummary {
-        let mut sojourns: Vec<f64> = Vec::with_capacity(outcome.records.len());
-        let mut measured_full = 0u64;
-        let mut sum_s = 0.0;
-        let mut max_s = 0.0f64;
-        let mut within = 0u64;
-        let mut counts = vec![0u64; LatencyHistogram::BINS];
-        for r in &outcome.records {
-            if r.id < warmup {
-                continue;
-            }
-            let s = r.sojourn_s();
-            sum_s += s;
-            max_s = max_s.max(s);
-            counts[LatencyHistogram::bin(s)] += 1;
-            if r.rung == 0 {
-                measured_full += 1;
-            }
-            if sla_s.is_none_or(|sla| s <= sla) {
-                within += 1;
-            }
-            sojourns.push(s);
-        }
-        let measured = sojourns.len() as u64;
-        let latency = LatencyStats {
-            mean_s: if measured == 0 {
-                0.0
-            } else {
-                sum_s / measured as f64
-            },
-            p50_s: select_quantile(&mut sojourns, 0.50),
-            p95_s: select_quantile(&mut sojourns, 0.95),
-            p99_s: select_quantile(&mut sojourns, 0.99),
-            max_s,
-        };
-        let histogram = LatencyHistogram::from_counts(counts);
-        (measured, measured_full, latency, histogram, within as f64)
-    }
-
-    /// Latency summary from the streaming digest of a record-free run.
-    fn latency_from_stream(
-        summary: &crate::streaming::StreamingSummary,
-        sla_s: Option<f64>,
-    ) -> LatencySummary {
-        let latency = LatencyStats {
-            mean_s: summary.mean_s,
-            p50_s: summary.p50_s,
-            p95_s: summary.p95_s,
-            p99_s: summary.p99_s,
-            max_s: summary.max_s,
-        };
-        // The stream counted SLA hits exactly against the SLA it ran with;
-        // any other target has to fall back on the histogram's resolution.
-        let within = if sla_s == summary.sla_s {
-            summary.sla_hits as f64
-        } else {
-            match sla_s {
-                None => summary.measured as f64,
-                Some(sla) => summary
-                    .histogram
-                    .counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| LatencyHistogram::bin(sla) > i)
-                    .map(|(_, &c)| c as f64)
-                    .sum(),
-            }
-        };
-        (
-            summary.measured,
-            summary.measured_full,
-            latency,
-            summary.histogram.clone(),
-            within,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::RequestRecord;
+    use crate::streaming::StreamingSummary;
 
-    fn record(id: u64, arrival_s: f64, completion_s: f64) -> RequestRecord {
-        RequestRecord {
-            id,
-            class: 0,
-            shard: 0,
-            arrival_s,
-            start_s: arrival_s,
-            completion_s,
-            batch: 1,
-            rung: 0,
-        }
-    }
-
-    fn outcome(records: Vec<RequestRecord>) -> ServingOutcome {
-        let makespan_s = records
-            .iter()
-            .map(|r| r.completion_s)
-            .fold(0.0f64, f64::max);
+    /// An outcome of `completed` requests over `makespan_s` whose stream
+    /// digested `summary`: busy half the makespan, three requests queued
+    /// on average, 0.5 J per request, one request per batch.
+    fn outcome(completed: u64, makespan_s: f64, summary: StreamingSummary) -> ServingOutcome {
         ServingOutcome {
-            admitted: records.len() as u64,
-            completed: records.len() as u64,
+            records: Vec::new(),
+            admitted: completed,
+            completed,
             dropped: 0,
-            peak_records_retained: records.len() as u64,
-            peak_in_system: records.len() as u64,
+            peak_records_retained: 0,
+            peak_in_system: completed,
             events: 0,
+            summary,
             busy_s: makespan_s / 2.0,
             depth_integral: makespan_s * 3.0,
             makespan_s,
-            energy_j: records.len() as f64 * 0.5,
-            batches: records.len() as u64,
-            records,
+            energy_j: completed as f64 * 0.5,
+            batches: completed,
             active_integral_s: 0.0,
             rung_time_s: Vec::new(),
             policy_switches: Vec::new(),
             scale_events: Vec::new(),
-            summary: crate::streaming::StreamingSummary::default(),
+        }
+    }
+
+    /// A digest of `measured` completions, `full` of them at rung 0.
+    fn digest(measured: u64, full: u64) -> StreamingSummary {
+        StreamingSummary {
+            measured,
+            sla_hits: measured,
+            measured_full: full,
+            histogram: LatencyHistogram::from_samples(&vec![1.0; measured as usize]),
+            ..StreamingSummary::default()
         }
     }
 
     #[test]
-    fn quantiles_use_nearest_rank() {
-        // Shuffled input: selection must find the sorted-order statistic.
-        let mut v: Vec<f64> = (1..=100).rev().map(f64::from).collect();
-        assert_eq!(select_quantile(&mut v, 0.50), 50.0);
-        assert_eq!(select_quantile(&mut v, 0.95), 95.0);
-        assert_eq!(select_quantile(&mut v, 0.99), 99.0);
-        assert_eq!(select_quantile(&mut [7.0], 0.99), 7.0);
-        assert_eq!(select_quantile(&mut [], 0.5), 0.0);
-    }
-
-    #[test]
-    fn metrics_summarize_the_records() {
-        let records: Vec<RequestRecord> = (0..100)
-            .map(|i| record(i, i as f64, i as f64 + 0.002 * (i % 10 + 1) as f64))
-            .collect();
-        let m = ServingMetrics::from_outcome(&outcome(records), 2, 0, Some(0.0101));
+    fn metrics_summarize_the_digest() {
+        // 100 completions over 100 s; the stream measured the 90 after
+        // warmup, and 45 of those met its SLA.
+        let summary = StreamingSummary {
+            mean_s: 0.011,
+            max_s: 0.020,
+            p50_s: 0.010,
+            p95_s: 0.019,
+            p99_s: 0.0199,
+            sla_s: Some(0.0101),
+            sla_hits: 45,
+            ..digest(90, 90)
+        };
+        let m = ServingMetrics::from_outcome(&outcome(100, 100.0, summary.clone()), 2);
         assert_eq!(m.completed, 100);
-        assert_eq!(m.measured, 100);
-        // Sojourns are 2..=20 ms uniformly; half meet a ~10 ms SLA.
-        assert!(
-            (m.sla_attainment - 0.5).abs() < 1e-12,
-            "{}",
-            m.sla_attainment
+        assert_eq!(m.measured, 90);
+        assert_eq!(
+            m.latency,
+            LatencyStats {
+                mean_s: 0.011,
+                p50_s: 0.010,
+                p95_s: 0.019,
+                p99_s: 0.0199,
+                max_s: 0.020,
+            }
         );
-        assert!((m.latency.max_s - 0.020).abs() < 1e-12);
-        assert!(m.latency.p99_s >= m.latency.p95_s);
-        assert!(m.latency.p95_s >= m.latency.p50_s);
-        assert!((m.goodput_rps - m.throughput_rps * 0.5).abs() < 1e-9);
+        assert_eq!(m.histogram, summary.histogram);
+        assert_eq!(m.throughput_rps, 1.0);
+        assert_eq!(m.sla_attainment, 0.5);
+        assert_eq!(m.goodput_rps, 0.5);
         assert!((m.utilization - 0.25).abs() < 1e-12);
         assert!((m.mean_queue_depth - 3.0).abs() < 1e-12);
         assert!((m.energy_per_request_j - 0.5).abs() < 1e-12);
-        assert_eq!(m.histogram.total(), 100);
-    }
-
-    #[test]
-    fn warmup_excludes_leading_admissions() {
-        let records: Vec<RequestRecord> = (0..10)
-            .map(|i| record(i, 0.0, if i < 5 { 100.0 } else { 0.001 }))
-            .collect();
-        let m = ServingMetrics::from_outcome(&outcome(records), 1, 5, None);
-        assert_eq!(m.measured, 5);
-        assert!(m.latency.max_s < 0.01);
-        assert_eq!(m.sla_attainment, 1.0);
     }
 
     #[test]
@@ -444,16 +325,7 @@ mod tests {
     #[test]
     fn adaptive_shares_and_time_in_policy() {
         use crate::sim::{PolicySwitchEvent, ScaleEvent};
-        let records: Vec<RequestRecord> = (0..10)
-            .map(|i| {
-                let mut r = record(i, 0.0, 1.0);
-                if i >= 6 {
-                    r.rung = 1;
-                }
-                r
-            })
-            .collect();
-        let mut out = outcome(records);
+        let mut out = outcome(10, 1.0, digest(10, 6));
         out.rung_time_s = vec![3.0, 1.0];
         out.active_integral_s = 2.0;
         out.policy_switches = vec![PolicySwitchEvent {
@@ -467,7 +339,7 @@ mod tests {
             replica: 1,
             up: true,
         }];
-        let m = ServingMetrics::from_outcome(&out, 2, 0, None);
+        let m = ServingMetrics::from_outcome(&out, 2);
         assert!((m.full_precision_share - 0.6).abs() < 1e-12);
         assert!((m.degraded_share - 0.4).abs() < 1e-12);
         assert_eq!(m.time_in_policy, vec![0.75, 0.25]);
@@ -481,7 +353,7 @@ mod tests {
 
     #[test]
     fn static_outcomes_report_full_precision() {
-        let m = ServingMetrics::from_outcome(&outcome(vec![record(0, 0.0, 1.0)]), 1, 0, None);
+        let m = ServingMetrics::from_outcome(&outcome(1, 1.0, digest(1, 1)), 1);
         assert_eq!(m.full_precision_share, 1.0);
         assert_eq!(m.degraded_share, 0.0);
         assert_eq!(m.time_in_policy, vec![1.0]);
@@ -492,10 +364,13 @@ mod tests {
 
     #[test]
     fn empty_outcome_yields_zeroed_metrics() {
-        let m = ServingMetrics::from_outcome(&outcome(Vec::new()), 1, 0, None);
+        let m = ServingMetrics::from_outcome(&outcome(0, 0.0, StreamingSummary::default()), 1);
         assert_eq!(m.completed, 0);
+        assert_eq!(m.measured, 0);
         assert_eq!(m.throughput_rps, 0.0);
         assert_eq!(m.latency.mean_s, 0.0);
+        assert_eq!(m.histogram.total(), 0);
         assert_eq!(m.sla_attainment, 1.0);
+        assert_eq!(m.full_precision_share, 1.0);
     }
 }

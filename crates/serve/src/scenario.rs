@@ -511,10 +511,11 @@ impl ServingScenario {
     /// The derived arrival seed a scenario with base `seed` uses for its
     /// `traffic_idx`-th declared traffic. A [`crate::ServingRun`] with this
     /// seed, the cell's configuration and
-    /// `RunOptions::retained().with_sla(sla)` replays the cell exactly
-    /// outside the grid (to inspect raw [`crate::RequestRecord`]s, say):
-    /// [`ServingMetrics::from_outcome`] of its outcome equals the cell's
-    /// metrics.
+    /// `RunOptions::default().with_sla(sla)` replays the cell exactly
+    /// outside the grid: [`ServingMetrics::from_outcome`] of its outcome
+    /// equals the cell's metrics. A replay that also retains records (to
+    /// inspect raw [`crate::RequestRecord`]s, say) simulates the same run
+    /// and differs only in `peak_records_retained`.
     #[must_use]
     pub fn mix_seed_for(seed: u64, traffic_idx: u64) -> u64 {
         mix_seed(seed, traffic_idx)
@@ -840,7 +841,7 @@ impl ServingScenario {
                     self.service,
                     mix_seed(self.seed, *traffic_idx as u64),
                     cell_sink.as_ref().map(|s| s as &dyn TraceSink),
-                    RunOptions::retained().with_sla(self.sla_s),
+                    RunOptions::default().with_sla(self.sla_s),
                     None,
                 );
                 if let (Some(prof), Some(t0)) = (&self.profile, cell_started) {
@@ -852,15 +853,9 @@ impl ServingScenario {
                         t0.elapsed().as_secs_f64(),
                     );
                 }
-                let metrics = ServingMetrics::from_outcome(
-                    &outcome,
-                    self.clusters[cl].replicas,
-                    traffic.warmup,
-                    self.sla_s,
-                );
+                let metrics = ServingMetrics::from_outcome(&outcome, self.clusters[cl].replicas);
                 // Post-warmup completions per service class, labelled so
-                // prefill/decode splits are visible per cell. The streaming
-                // digest counts these whether or not records are retained.
+                // prefill/decode splits are visible per cell.
                 let class_counts = outcome.summary.class_completed.clone();
                 let classes = traffic
                     .mix
@@ -1363,20 +1358,26 @@ mod tests {
     }
 
     /// `mix_seed_for`'s promise: each cell of a policies × clusters ×
-    /// traffics × {static, adaptive} grid, replayed as one `ServingRun` at
-    /// its traffic's derived seed with records retained and the grid's SLA,
-    /// reports exactly the cell's metrics.
+    /// traffics × {static, adaptive} grid, replayed as one streaming
+    /// `ServingRun` at its traffic's derived seed with the grid's SLA,
+    /// reports exactly the cell's metrics. A replay that retains records
+    /// is the oracle of the sketched columns: each cell's p50/p95/p99 lie
+    /// within the sketch's 2% of the exact nearest-rank quantiles of the
+    /// post-warmup records, and its SLA attainment is their exact share.
     #[test]
     fn every_cell_replays_exactly_as_one_run() {
         use crate::controller::ControllerConfig;
-        use crate::sim::{ServingRun, Topology};
+        use crate::sim::{RequestRecord, ServingRun, Topology};
         use bpvec_dnn::DegradationLadder;
         let policies = [BatchPolicy::immediate(), BatchPolicy::deadline(4, 0.002)];
         let clusters = [
             ClusterSpec::single(),
             ClusterSpec::new(2, crate::Router::LeastDegraded),
         ];
-        let traffics = [quick_traffic("steady", 50.0), quick_traffic("fast", 400.0)];
+        let traffics = [
+            quick_traffic("steady", 50.0),
+            quick_traffic("fast", 400.0).with_warmup(20),
+        ];
         let spec = AdaptiveSpec::new(DegradationLadder::paper())
             .with_controller(ControllerConfig::new(0.005).with_depths(1, 6));
         let (seed, sla) = (0xC311, 0.05);
@@ -1395,13 +1396,19 @@ mod tests {
             report.cells.iter().any(|c| c.metrics.policy_switches > 0),
             "some adaptive cell must switch rungs"
         );
+        assert!(
+            report.cells.iter().any(|c| c.metrics.sla_attainment < 1.0),
+            "some cell must miss the SLA"
+        );
         let mut cells = report.cells.iter();
         for policy in policies {
             for cluster in clusters {
                 for (i, traffic) in traffics.iter().enumerate() {
                     for control in [None, Some(&spec)] {
                         let cell = cells.next().expect("16 cells");
-                        let outcome = ServingRun {
+                        let label =
+                            format!("{policy} / {cluster} / {} / {}", cell.traffic, cell.control);
+                        let run = ServingRun {
                             backend: &AcceleratorConfig::bpvec(),
                             memory: DramSpec::ddr4(),
                             policy,
@@ -1410,19 +1417,41 @@ mod tests {
                             control,
                             service: ServiceModel::Deterministic,
                             seed: ServingScenario::mix_seed_for(seed, i as u64),
+                        };
+                        let streamed = run
+                            .try_run(RunOptions::default().with_sla(Some(sla)), None)
+                            .expect("valid run");
+                        let replayed = ServingMetrics::from_outcome(&streamed, cluster.replicas);
+                        assert_eq!(replayed, cell.metrics, "{label}");
+                        let retained = run
+                            .try_run(RunOptions::retained().with_sla(Some(sla)), None)
+                            .expect("valid run");
+                        let mut exact: Vec<f64> = retained
+                            .records
+                            .iter()
+                            .filter(|r| r.id >= traffic.warmup)
+                            .map(RequestRecord::sojourn_s)
+                            .collect();
+                        exact.sort_by(f64::total_cmp);
+                        let m = &cell.metrics;
+                        for (q, est) in [
+                            (0.50, m.latency.p50_s),
+                            (0.95, m.latency.p95_s),
+                            (0.99, m.latency.p99_s),
+                        ] {
+                            let rank =
+                                ((q * exact.len() as f64).ceil() as usize).clamp(1, exact.len());
+                            let truth = exact[rank - 1];
+                            assert!(
+                                (est - truth).abs() <= 0.02 * truth,
+                                "{label}: q{q} sketch {est} vs exact {truth}"
+                            );
                         }
-                        .try_run(RunOptions::retained().with_sla(Some(sla)), None)
-                        .expect("valid run");
-                        let replayed = ServingMetrics::from_outcome(
-                            &outcome,
-                            cluster.replicas,
-                            traffic.warmup,
-                            Some(sla),
-                        );
+                        let within = exact.iter().filter(|&&s| s <= sla).count();
                         assert_eq!(
-                            replayed, cell.metrics,
-                            "{policy} / {cluster} / {} / {}",
-                            cell.traffic, cell.control
+                            m.sla_attainment,
+                            within as f64 / exact.len() as f64,
+                            "{label}"
                         );
                     }
                 }

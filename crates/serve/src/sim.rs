@@ -9,11 +9,10 @@
 //! a calendar event queue ordered by `(time, sequence)`, so a fixed seed
 //! yields a bit-identical [`ServingOutcome`] on every run.
 //!
-//! Memory contract: by default the loop streams — per-request
-//! [`RequestRecord`]s are *not* retained, and latency statistics come from
-//! the O(1) [`StreamingSummary`] digest. [`RunOptions::retained`] switches
-//! record retention back on (the exact axis the scenario grids and CSV
-//! goldens use).
+//! Memory contract: the loop streams. Every latency statistic comes from
+//! the O(1) [`StreamingSummary`] digest; per-request [`RequestRecord`]s
+//! are kept only when [`RunOptions::retained`] asks for them, to inspect
+//! each request's lifecycle.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -107,17 +106,18 @@ pub struct ScaleEvent {
 
 /// How one simulation run retains state and emits telemetry.
 ///
-/// The default is the fleet-scale contract: streaming metrics only (no
-/// per-request record retention), every request traced, and SLA
-/// accounting off. [`RunOptions::retained`] keeps every record for exact
-/// percentiles; [`crate::ServingScenario`] runs its cells that way.
+/// The default streams: no per-request records, every request traced,
+/// and SLA accounting off. Metrics come from the stream either way;
+/// [`RunOptions::retained`] also keeps every record for inspection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunOptions {
-    /// Retain a [`RequestRecord`] per request (O(n) memory; exact
-    /// percentiles). Off by default.
+    /// Retain a [`RequestRecord`] per request (O(n) memory) for
+    /// inspection; no metric reads them. Off by default.
     pub retain_records: bool,
     /// SLA the streaming pipeline counts hits against as completions
-    /// stream through (exact, not sketched). Must be positive and finite.
+    /// stream through (exact, not sketched), and so the SLA
+    /// [`crate::ServingMetrics`] reports attainment at. Must be positive
+    /// and finite.
     pub sla_s: Option<f64>,
     /// Trace sampling stride: only requests with `id % trace_every == 0`
     /// emit request-lane trace events (batch `exec` spans emit when they
@@ -137,7 +137,7 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The exact configuration: full record retention.
+    /// Full record retention, to inspect each request's lifecycle.
     #[must_use]
     pub fn retained() -> Self {
         RunOptions {
@@ -164,8 +164,9 @@ impl RunOptions {
 /// Raw result of one simulation run; [`crate::ServingMetrics`] summarizes it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingOutcome {
-    /// Per-request lifecycle records, in completion order. Empty unless
-    /// the run retained records ([`RunOptions::retain_records`]).
+    /// Per-request lifecycle records, in completion order, for
+    /// inspection. Empty unless the run retained records
+    /// ([`RunOptions::retain_records`]).
     pub records: Vec<RequestRecord>,
     /// Requests admitted (the traffic spec's request count minus
     /// `dropped`).
@@ -184,8 +185,8 @@ pub struct ServingOutcome {
     /// Total events popped from the event queue over the run.
     pub events: u64,
     /// The O(1)-memory streaming digest of the post-warmup latency
-    /// stream; always populated, and the only latency signal when record
-    /// retention is off.
+    /// stream; always populated, and the one source of
+    /// [`crate::ServingMetrics`]' latency and SLA figures.
     pub summary: StreamingSummary,
     /// Total busy time summed across replicas, seconds.
     pub busy_s: f64,
@@ -1722,6 +1723,40 @@ mod tests {
         // stationary KV traffic and more attention MACs per step).
         let long = CostTable::build(&backend, &DramSpec::ddr4(), &t(1024), 1, &cost).unwrap();
         assert!(long.service_s(1, 1) > short.service_s(1, 1));
+    }
+
+    /// The loop's warmup cut: a run with warmup `W` streams exactly the
+    /// completions of requests `W..`, so its digest equals an oracle over
+    /// those records bit for bit (the same completion order).
+    #[test]
+    fn the_stream_measures_only_post_warmup_admissions() {
+        let (warmup, sla) = (150, 4e-3);
+        let t = traffic(ArrivalProcess::poisson(900.0), 600).with_warmup(warmup);
+        let out = ServingRun {
+            policy: BatchPolicy::deadline(4, 1e-3),
+            ..base(&CONST_1MS, &t)
+        }
+        .try_run(RunOptions::retained().with_sla(Some(sla)), None)
+        .unwrap();
+        let s = &out.summary;
+        assert_eq!(s.measured, out.completed - warmup);
+        let measured: Vec<f64> = out
+            .records
+            .iter()
+            .filter(|r| r.id >= warmup)
+            .map(RequestRecord::sojourn_s)
+            .collect();
+        let sum = measured.iter().fold(0.0, |acc, x| acc + x);
+        assert_eq!(s.mean_s.to_bits(), (sum / measured.len() as f64).to_bits());
+        let max = measured.iter().copied().fold(0.0, f64::max);
+        assert_eq!(s.max_s.to_bits(), max.to_bits());
+        assert_eq!(
+            s.histogram,
+            crate::metrics::LatencyHistogram::from_samples(&measured)
+        );
+        let hits = measured.iter().filter(|&&x| x <= sla).count() as u64;
+        assert!(0 < hits && hits < s.measured, "{hits} of {}", s.measured);
+        assert_eq!(s.sla_hits, hits);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! O(1)-memory streaming metrics for fleet-scale serving runs.
+//! O(1)-memory streaming metrics: the one way a serving run is summarized.
 //!
-//! The retained-records path ([`crate::ServingOutcome::records`]) is exact
-//! but O(n) in request count — fine for the scenario grids, fatal for a
-//! 10M-request fleet sweep. This module provides the streaming
-//! replacement: a fixed-size log-bucketed [`QuantileSketch`] (p50/p95/p99
-//! to well under 2% relative error), windowed throughput aggregation, and
-//! per-class / per-tenant / per-region rollups, all maintained in O(1)
-//! space per completion.
+//! Every run, from a scenario cell to a 10M-request fleet sweep, streams
+//! its post-warmup completions through a fixed-size log-bucketed
+//! [`QuantileSketch`] (p50/p95/p99 to well under 2% relative error, exact
+//! mean and max), windowed throughput aggregation, and per-class /
+//! per-tenant / per-region rollups, all maintained in O(1) space per
+//! completion.
 //!
 //! The sketch is deterministic (no randomized compaction like P²/t-digest
 //! variants), so summaries are byte-stable across runs under a fixed seed
@@ -29,12 +28,14 @@ const SKETCH_BUCKETS: usize = 1400;
 ///
 /// `observe` is O(1); `quantile` walks the (constant-size) bucket array
 /// with nearest-rank semantics, reporting the geometric mid-point of the
-/// selected bucket clamped to the exact observed min/max. Memory is a
+/// selected bucket clamped to the exact observed min/max. The running sum
+/// behind [`QuantileSketch::mean`] and the max are exact. Memory is a
 /// fixed ~11 KiB regardless of how many samples stream through.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantileSketch {
     counts: Vec<u64>,
     total: u64,
+    sum_s: f64,
     min_s: f64,
     max_s: f64,
 }
@@ -51,6 +52,7 @@ impl QuantileSketch {
         Self {
             counts: vec![0; SKETCH_BUCKETS],
             total: 0,
+            sum_s: 0.0,
             min_s: f64::INFINITY,
             max_s: f64::NEG_INFINITY,
         }
@@ -68,6 +70,7 @@ impl QuantileSketch {
     pub fn observe(&mut self, value_s: f64) {
         self.counts[Self::bucket(value_s)] += 1;
         self.total += 1;
+        self.sum_s += value_s;
         self.min_s = self.min_s.min(value_s);
         self.max_s = self.max_s.max(value_s);
     }
@@ -75,6 +78,16 @@ impl QuantileSketch {
     /// Number of samples observed.
     pub fn count(&self) -> u64 {
         self.total
+    }
+
+    /// Exact mean of the observed samples, summed in observation order (0
+    /// when empty).
+    pub fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum_s / self.total as f64
+        }
     }
 
     /// Exact maximum observed sample (0 when empty).
@@ -88,9 +101,9 @@ impl QuantileSketch {
 
     /// Nearest-rank quantile estimate; 0 when no samples were observed.
     ///
-    /// Matches the retained path's `quantile(sorted, q)` rank selection
-    /// (rank `ceil(q·n)`, 1-based), but reports the geometric mid-point of
-    /// the bucket holding that rank instead of the exact order statistic.
+    /// Selects the exact nearest rank (`ceil(q·n)`, 1-based), but reports
+    /// the geometric mid-point of the bucket holding that rank instead of
+    /// the order statistic itself.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.total == 0 {
             return 0.0;
@@ -158,14 +171,11 @@ pub struct RegionRollup {
     pub busy_s: f64,
 }
 
-/// Digest of a run's post-warmup latency stream, produced whether or not
-/// record retention is on.
+/// Digest of a run's post-warmup latency stream, produced by every run.
 ///
-/// When retention is off this is the *only* latency signal, and
-/// [`crate::ServingMetrics::from_outcome`] derives its summary from it;
-/// when retention is on the exact record path still wins, and this digest
-/// rides along for cross-checking (the ≤2% sketch-accuracy property test
-/// diffs the two).
+/// [`crate::ServingMetrics::from_outcome`] derives its latency summary
+/// from this digest alone. Retained records, when a run keeps them, feed
+/// no metric; the ≤2% sketch-accuracy tests use them as the exact oracle.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamingSummary {
     /// Post-warmup completions observed by the stream.
@@ -234,7 +244,6 @@ const WINDOW_S: f64 = 1.0;
 pub(crate) struct StreamStats {
     sketch: QuantileSketch,
     hist_counts: Vec<u64>,
-    sum_s: f64,
     measured_full: u64,
     sla_s: Option<f64>,
     sla_hits: u64,
@@ -249,7 +258,6 @@ impl StreamStats {
         Self {
             sketch: QuantileSketch::new(),
             hist_counts: vec![0; LatencyHistogram::BINS],
-            sum_s: 0.0,
             measured_full: 0,
             sla_s,
             sla_hits: 0,
@@ -264,7 +272,6 @@ impl StreamStats {
     pub(crate) fn observe(&mut self, now_s: f64, sojourn_s: f64, class: usize, full_rung: bool) {
         self.sketch.observe(sojourn_s);
         self.hist_counts[LatencyHistogram::bin(sojourn_s)] += 1;
-        self.sum_s += sojourn_s;
         if full_rung {
             self.measured_full += 1;
         }
@@ -286,15 +293,9 @@ impl StreamStats {
     /// Freezes the stream into a reportable summary.
     pub(crate) fn finish(mut self) -> StreamingSummary {
         self.peak_window = self.peak_window.max(self.window_count);
-        let measured = self.sketch.count();
-        let mean_s = if measured == 0 {
-            0.0
-        } else {
-            self.sum_s / measured as f64
-        };
         StreamingSummary {
-            measured,
-            mean_s,
+            measured: self.sketch.count(),
+            mean_s: self.sketch.mean(),
             max_s: self.sketch.max(),
             p50_s: self.sketch.quantile(0.50),
             p95_s: self.sketch.quantile(0.95),
@@ -321,7 +322,19 @@ mod tests {
         let s = QuantileSketch::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), 0.0);
+        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0.0);
+    }
+
+    #[test]
+    fn mean_is_the_exact_running_mean_in_observation_order() {
+        let samples = [0.003, 1e-6, 0.25, 0.0421, 7.5e-4];
+        let mut s = QuantileSketch::new();
+        for v in samples {
+            s.observe(v);
+        }
+        let sum = samples.iter().fold(0.0, |acc, v| acc + v);
+        assert_eq!(s.mean().to_bits(), (sum / 5.0).to_bits());
     }
 
     #[test]

@@ -332,7 +332,7 @@ proptest! {
 }
 
 /// One replica dispatching immediately on a constant `s`-second backend,
-/// at seed 42, records retained.
+/// at seed 42, streaming.
 fn single_replica(traffic: &TrafficSpec, s: f64, service: ServiceModel) -> ServingOutcome {
     ServingRun {
         backend: &ConstServer { per_inference_s: s },
@@ -344,7 +344,7 @@ fn single_replica(traffic: &TrafficSpec, s: f64, service: ServiceModel) -> Servi
         service,
         seed: 42,
     }
-    .try_run(RunOptions::retained(), None)
+    .try_run(RunOptions::default(), None)
     .unwrap()
 }
 
@@ -362,7 +362,7 @@ fn mm1_mean_sojourn_matches_closed_form_within_5pct() {
     )
     .with_warmup(5_000);
     let out = single_replica(&traffic, s, ServiceModel::ExponentialJitter);
-    let m = ServingMetrics::from_outcome(&out, 1, traffic.warmup, None);
+    let m = ServingMetrics::from_outcome(&out, 1);
     let expect = 1.0 / (1.0 / s - lambda); // 2.5 ms
     let rel = (m.latency.mean_s - expect).abs() / expect;
     assert!(
@@ -391,7 +391,7 @@ fn md1_mean_sojourn_matches_closed_form_within_5pct() {
     )
     .with_warmup(5_000);
     let out = single_replica(&traffic, s, ServiceModel::Deterministic);
-    let m = ServingMetrics::from_outcome(&out, 1, traffic.warmup, None);
+    let m = ServingMetrics::from_outcome(&out, 1);
     let expect = s + rho * s / (2.0 * (1.0 - rho)); // 1.375 ms
     let rel = (m.latency.mean_s - expect).abs() / expect;
     assert!(
@@ -442,9 +442,9 @@ fn dynamic_batching_beats_immediate_p99_under_high_load() {
             service: ServiceModel::Deterministic,
             seed: 9,
         }
-        .try_run(RunOptions::retained(), None)
+        .try_run(RunOptions::default(), None)
         .unwrap();
-        ServingMetrics::from_outcome(&out, 1, traffic.warmup, None)
+        ServingMetrics::from_outcome(&out, 1)
     };
     let immediate = run(BatchPolicy::immediate());
     let dynamic = run(BatchPolicy::deadline(16, 4.0 * s1));

@@ -152,10 +152,9 @@ fn main() {
         seed: ServingScenario::mix_seed_for(seed, 0),
     };
     let outcome = replay
-        .try_run(RunOptions::retained(), None)
+        .try_run(RunOptions::retained().with_sla(Some(sla_s)), None)
         .expect("the adaptive cell's configuration is valid");
-    let raw =
-        bpvec::serve::ServingMetrics::from_outcome(&outcome, cluster.replicas, 0, Some(sla_s));
+    let raw = bpvec::serve::ServingMetrics::from_outcome(&outcome, cluster.replicas);
     assert!(
         (raw.goodput_rps - adap).abs() <= 1e-9 * adap.max(1.0),
         "raw replay ({:.3} rps) must reproduce the scenario's adaptive cell ({adap:.3} rps)",
